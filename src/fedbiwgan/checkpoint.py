@@ -1,15 +1,14 @@
 """Self-describing binary container for model parameters and window
 stores: a magic/version header, a JSON metadata block, and per-tensor
-name/shape/float64 records. Byte-identical across platforms (everything
-little-endian, dict keys sorted).
+name records, each followed by the tensor in the wire codec. Byte-identical
+across platforms (everything little-endian, dict keys sorted).
 """
 
 from __future__ import annotations
 
 import json
-import struct
 
-import numpy as np
+from . import wire
 
 MAGIC = b"FBWGCKPT"
 FORMAT_VERSION = 1
@@ -22,54 +21,41 @@ class CheckpointError(ValueError):
 def save_container(path, metadata: dict, tensors: dict):
     """Write tensors (name -> array) with a JSON metadata block."""
     meta = json.dumps(metadata, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    parts = [MAGIC, wire.U32.pack(FORMAT_VERSION), wire.U32.pack(len(meta)), meta,
+             wire.U32.pack(len(tensors))]
+    for name in sorted(tensors):
+        encoded = name.encode("utf-8")
+        parts += [wire.U32.pack(len(encoded)), encoded, wire.encode_tensor(tensors[name])]
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(meta)))
-        fh.write(meta)
-        names = sorted(tensors)
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            arr = np.ascontiguousarray(tensors[name], dtype="<f8")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+        fh.write(b"".join(parts))
 
 
 def load_container(path):
-    """Read back (metadata, tensors)."""
+    """Read back (metadata, tensors); CheckpointError if the file is not a
+    whole container."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint container")
-    (version,) = struct.unpack_from("<I", buf, 8)
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
-    offset = 12
-    (meta_len,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    metadata = json.loads(buf[offset:offset + meta_len].decode("utf-8"))
-    offset += meta_len
-    (count,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    tensors = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        name = buf[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{ndim}I", buf, offset)
-        offset += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        tensors[name] = np.frombuffer(
-            buf, dtype="<f8", count=size, offset=offset
-        ).reshape(shape).astype(np.float64)
-        offset += 8 * size
+    try:
+        version, offset = wire.read_u32(buf, 8)
+        if version != FORMAT_VERSION:
+            raise CheckpointError(f"{path}: unsupported format version {version}")
+        meta_len, offset = wire.read_u32(buf, offset)
+        meta, offset = wire.read(buf, offset, meta_len)
+        metadata = json.loads(meta.decode("utf-8"))
+        if not isinstance(metadata, dict):
+            raise CheckpointError(f"{path}: metadata block is not a JSON object")
+        count, offset = wire.read_u32(buf, offset)
+        tensors = {}
+        for _ in range(count):
+            name_len, offset = wire.read_u32(buf, offset)
+            name, offset = wire.read(buf, offset, name_len)
+            tensors[name.decode("utf-8")], offset = wire.decode_tensor(buf, offset)
+        if offset != len(buf):
+            raise CheckpointError(f"{path}: {len(buf) - offset} trailing bytes")
+    except (wire.WireError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: corrupt checkpoint: {exc}") from None
     return metadata, tensors
 
 

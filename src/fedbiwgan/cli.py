@@ -18,12 +18,7 @@ from .checkpoint import load_models, save_models
 from .config import ConfigError, load_config, load_experiment, resolve_experiment
 from .data import FEATURE_NAMES, SynthSpec, synth_dataset
 from .detection import evaluate, per_fault_recall
-from .experiment import (
-    build_node_data,
-    calibrate_experiment,
-    detect_experiment,
-    train_experiment,
-)
+from .experiment import _injected_samples, build_node_data, train_experiment
 from .federation import MODES
 from .ledger import CostLedger, flop_estimates
 from .models import CriticModel, EncoderModel, GeneratorModel
@@ -158,7 +153,6 @@ def _load_bundles(run_dir, manifest):
 
 def _score_split(run_dir, manifest, split, gamma, seed_offset):
     from .detection import score_windows
-    from .experiment import _injected_samples
 
     bundles = _load_bundles(run_dir, manifest)
     per_node = {}
@@ -279,8 +273,8 @@ def cmd_compare(args):
         for variant in variants:
             bundle = train_variant(variant, train, exp.model, exp.training, seed)
             inj = exp.injection
-            val_x, val_labels, val_faults = _inject(val, inj, 0)
-            test_x, test_labels, test_faults = _inject(test, inj, 1)
+            val_x, val_labels, val_faults = _injected_samples(val, inj, 0)
+            test_x, test_labels, test_faults = _injected_samples(test, inj, 1)
             scored_val = bundle.score(val_x, exp.gamma)
             for sample, label in zip(scored_val, val_labels):
                 sample.true_label = label
@@ -307,12 +301,6 @@ def cmd_compare(args):
         writer.writerows(rows)
     print(f"comparison table -> {out / 'comparison.csv'}")
     return 0
-
-
-def _inject(windows, injection, seed_offset):
-    from .experiment import _injected_samples
-
-    return _injected_samples(windows, injection, seed_offset)
 
 
 def cmd_report_costs(args):
@@ -399,7 +387,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--mode", choices=MODES)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("calibrate", help="set detection thresholds from the validation split")

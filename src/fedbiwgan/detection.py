@@ -86,10 +86,6 @@ def score_windows(windows, g: GeneratorModel, e: EncoderModel, d: CriticModel,
     return out
 
 
-def anomaly_score(window, g, e, d, gamma) -> ScoredSample:
-    return score_windows(np.asarray(window)[None, ...], g, e, d, gamma)[0]
-
-
 def calibrate_threshold(scored: list[ScoredSample]):
     """Midpoint of the mean normal score and the mean abnormal score.
     Returns (threshold, mean_normal, mean_abnormal, degenerate_flag)."""

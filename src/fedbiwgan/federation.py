@@ -183,9 +183,6 @@ class ManagerNode:
         self.noise_spec = NoiseSpec(cfg.noise, model_cfg.latent_dim)
         self._tapes = {}
 
-    def params(self):
-        return {"generator": self.generator.params(), "encoder": self.encoder.params()}
-
 
 def monitor_round(monitor: MonitorNode, x_batch, packet: GenPacket, critic_iters, eta):
     """K critic Adam updates on the received pairs, then the local EG loss
@@ -351,9 +348,8 @@ def apply_global(manager: ManagerNode, global_gen: dict, global_enc: dict):
 class RunResult:
     mode: str
     model_cfg: ModelConfig
-    managers: dict  # key -> ManagerNode (slice id, or (slice, monitor) when standalone)
+    managers: dict  # group key -> ManagerNode (slice id, or (slice, monitor))
     monitors: dict  # (slice, monitor) -> MonitorNode
-    global_params: dict | None
     traces: list  # per (iteration, node): d_loss, eg_loss
     ledger: CostLedger
 
@@ -367,8 +363,9 @@ class RunResult:
         return manager.generator, manager.encoder, self.monitors[(slice_id, monitor_id)].critic
 
 
-def _slice_iteration(manager, monitors, bus, iteration, traces, ledger):
-    """One pass of the split-training protocol for a single slice."""
+def _slice_iteration(manager, monitors, bus, iteration, traces, ledger, node):
+    """One pass of the split-training protocol for a single manager and
+    its monitors; with no bus, nothing is sent."""
     batches = {}
     for mon in monitors:
         x = mon.sample_batch()
@@ -419,21 +416,75 @@ def _slice_iteration(manager, monitors, bus, iteration, traces, ledger):
 
     traces.append({
         "iteration": iteration,
-        "node": _node_label(manager, monitors),
+        "node": node,
         "d_loss": float(np.mean(d_losses)),
         "eg_loss": float(np.mean(eg_losses)),
     })
 
 
-def _node_label(manager, monitors):
-    if len(monitors) == 1 and manager.cfg.mode in ("standalone", "centralized"):
-        mon = monitors[0]
-        return f"{mon.slice_id}.{mon.monitor_id}"
-    return str(manager.slice_id)
+def _group_monitors(topology, cfg, model_cfg, shards, seed, bus):
+    """The mode as a grouping of monitors under managers, key -> (manager,
+    monitors): one group per slice (distributed, federated), a private
+    manager per monitor (standalone), or one manager over the pooled
+    shards after they are uploaded at iteration 0 (centralized)."""
+    cells = [(s, n) for s in range(topology.slices)
+             for n in range(topology.monitors_per_slice)]
+
+    def group(s, monitor_shards):
+        return ManagerNode(s, model_cfg, cfg, seed), [
+            MonitorNode(s, n, shard, model_cfg, cfg, seed) for n, shard in monitor_shards
+        ]
+
+    if cfg.mode == "standalone":
+        return {(s, n): group(s, [(n, shards[(s, n)])]) for s, n in cells}
+    if cfg.mode == "centralized":
+        # every monitor ships its whole shard up both tiers once
+        pooled = []
+        for s, n in cells:
+            shard = np.asarray(shards[(s, n)], dtype=np.float64)
+            bus.send(wire.Message(wire.MSG_DATA_BATCH, s, n, 0, [shard]),
+                     link=f"monitor[{s}.{n}]->manager[{s}]")
+            bus.send(wire.Message(wire.MSG_DATA_BATCH, s, -1, 0, [shard]),
+                     link=f"manager[{s}]->controller")
+            pooled.append(shard)
+        return {(0, 0): group(0, [(0, np.concatenate(pooled, axis=0))])}
+    return {
+        s: group(s, [(n, shards[(s, n)]) for n in range(topology.monitors_per_slice)])
+        for s in range(topology.slices)
+    }
 
 
-def _param_tensor_list(params):
-    return [params[k].data for k in sorted(params)]
+def _federated_average(groups, bus, iteration):
+    """Upload every manager's generator and encoder, average them at the
+    controller weighted by each slice's training windows, and download the
+    average to every manager."""
+    managers = [manager for manager, _ in groups]
+    weights = SliceWeights([sum(mon.shard.shape[0] for mon in mons) for _, mons in groups])
+    gen_keys = sorted(managers[0].generator.params())
+    enc_keys = sorted(managers[0].encoder.params())
+
+    def split(tensors):
+        return (dict(zip(gen_keys, tensors[:len(gen_keys)])),
+                dict(zip(enc_keys, tensors[len(gen_keys):])))
+
+    uploads = [
+        split(bus.send(
+            wire.Message(wire.MSG_PARAMS_UP, manager.slice_id, -1, iteration,
+                         [manager.generator.params()[k].data for k in gen_keys]
+                         + [manager.encoder.params()[k].data for k in enc_keys]),
+            link=f"manager[{manager.slice_id}]->controller",
+        ).tensors)
+        for manager in managers
+    ]
+    global_gen = controller_aggregate([gen for gen, _ in uploads], weights)
+    global_enc = controller_aggregate([enc for _, enc in uploads], weights)
+    for manager in managers:
+        msg = bus.send(
+            wire.Message(wire.MSG_PARAMS_DOWN, manager.slice_id, -1, iteration,
+                         [global_gen[k] for k in gen_keys] + [global_enc[k] for k in enc_keys]),
+            link=f"controller->manager[{manager.slice_id}]",
+        )
+        apply_global(manager, *split(msg.tensors))
 
 
 def run_training(topology: TopologySpec, cfg: TrainingConfig, model_cfg: ModelConfig,
@@ -447,15 +498,26 @@ def run_training(topology: TopologySpec, cfg: TrainingConfig, model_cfg: ModelCo
 
     ledger = CostLedger()
     traces = []
-    if cfg.mode == "federated":
-        result = _run_federated(topology, cfg, model_cfg, shards, seed, ledger, traces)
-    elif cfg.mode == "distributed":
-        result = _run_distributed(topology, cfg, model_cfg, shards, seed, ledger, traces)
-    elif cfg.mode == "standalone":
-        result = _run_standalone(topology, cfg, model_cfg, shards, seed, ledger, traces)
-    else:
-        result = _run_centralized(topology, cfg, model_cfg, shards, seed, ledger, traces)
+    bus = Bus(ledger)
+    groups = _group_monitors(topology, cfg, model_cfg, shards, seed, bus)
+    if cfg.mode in ("standalone", "centralized"):
+        bus = None  # each manager trains on its own monitor: nothing to send
 
+    for i in range(1, cfg.iterations + 1):
+        for key, (manager, monitors) in groups.items():
+            node = f"{key[0]}.{key[1]}" if isinstance(key, tuple) else str(key)
+            _slice_iteration(manager, monitors, bus, i, traces, ledger, node)
+        if cfg.mode == "federated" and i % cfg.local_iters == 0:
+            with PhaseTimer(ledger, "aggregation"):
+                _federated_average(list(groups.values()), bus, i)
+
+    result = RunResult(
+        mode=cfg.mode, model_cfg=model_cfg,
+        managers={key: manager for key, (manager, _) in groups.items()},
+        monitors={(mon.slice_id, mon.monitor_id): mon
+                  for _, monitors in groups.values() for mon in monitors},
+        traces=traces, ledger=ledger,
+    )
     some_manager = next(iter(result.managers.values()))
     some_monitor = next(iter(result.monitors.values()))
     ledger.param_counts = {
@@ -464,135 +526,3 @@ def run_training(topology: TopologySpec, cfg: TrainingConfig, model_cfg: ModelCo
         "critic": sum(p.data.size for p in some_monitor.critic.params().values()),
     }
     return result
-
-
-def _build_slice(topology, cfg, model_cfg, shards, seed, slice_id):
-    manager = ManagerNode(slice_id, model_cfg, cfg, seed)
-    monitors = [
-        MonitorNode(slice_id, n, shards[(slice_id, n)], model_cfg, cfg, seed)
-        for n in range(topology.monitors_per_slice)
-    ]
-    return manager, monitors
-
-
-def _run_federated(topology, cfg, model_cfg, shards, seed, ledger, traces):
-    bus = Bus(ledger)
-    slices = [
-        _build_slice(topology, cfg, model_cfg, shards, seed, s)
-        for s in range(topology.slices)
-    ]
-    weights = SliceWeights([
-        sum(shards[(s, n)].shape[0] for n in range(topology.monitors_per_slice))
-        for s in range(topology.slices)
-    ])
-    global_gen = {k: p.data.copy() for k, p in slices[0][0].generator.params().items()}
-    global_enc = {k: p.data.copy() for k, p in slices[0][0].encoder.params().items()}
-
-    for i in range(1, cfg.iterations + 1):
-        for manager, monitors in slices:
-            _slice_iteration(manager, monitors, bus, i, traces, ledger)
-        if i % cfg.local_iters == 0:
-            with PhaseTimer(ledger, "aggregation"):
-                gen_sets, enc_sets = [], []
-                for manager, _ in slices:
-                    gp = manager.generator.params()
-                    ep = manager.encoder.params()
-                    msg = bus.send(
-                        wire.Message(
-                            wire.MSG_PARAMS_UP, manager.slice_id, -1, i,
-                            _param_tensor_list(gp) + _param_tensor_list(ep),
-                        ),
-                        link=f"manager[{manager.slice_id}]->controller",
-                    )
-                    n_gen = len(gp)
-                    gen_keys, enc_keys = sorted(gp), sorted(ep)
-                    gen_sets.append(dict(zip(gen_keys, msg.tensors[:n_gen])))
-                    enc_sets.append(dict(zip(enc_keys, msg.tensors[n_gen:])))
-                global_gen = controller_aggregate(gen_sets, weights)
-                global_enc = controller_aggregate(enc_sets, weights)
-                for manager, _ in slices:
-                    msg = bus.send(
-                        wire.Message(
-                            wire.MSG_PARAMS_DOWN, manager.slice_id, -1, i,
-                            [global_gen[k] for k in sorted(global_gen)]
-                            + [global_enc[k] for k in sorted(global_enc)],
-                        ),
-                        link=f"controller->manager[{manager.slice_id}]",
-                    )
-                    n_gen = len(global_gen)
-                    down_gen = dict(zip(sorted(global_gen), msg.tensors[:n_gen]))
-                    down_enc = dict(zip(sorted(global_enc), msg.tensors[n_gen:]))
-                    apply_global(manager, down_gen, down_enc)
-
-    return RunResult(
-        mode=cfg.mode, model_cfg=model_cfg,
-        managers={m.slice_id: m for m, _ in slices},
-        monitors={(mon.slice_id, mon.monitor_id): mon for _, mons in slices for mon in mons},
-        global_params={"generator": global_gen, "encoder": global_enc},
-        traces=traces, ledger=ledger,
-    )
-
-
-def _run_distributed(topology, cfg, model_cfg, shards, seed, ledger, traces):
-    bus = Bus(ledger)
-    slices = [
-        _build_slice(topology, cfg, model_cfg, shards, seed, s)
-        for s in range(topology.slices)
-    ]
-    for i in range(1, cfg.iterations + 1):
-        for manager, monitors in slices:
-            _slice_iteration(manager, monitors, bus, i, traces, ledger)
-    return RunResult(
-        mode=cfg.mode, model_cfg=model_cfg,
-        managers={m.slice_id: m for m, _ in slices},
-        monitors={(mon.slice_id, mon.monitor_id): mon for _, mons in slices for mon in mons},
-        global_params=None, traces=traces, ledger=ledger,
-    )
-
-
-def _run_standalone(topology, cfg, model_cfg, shards, seed, ledger, traces):
-    # every monitor trains a private full model; no communication at all
-    nodes = []
-    for s in range(topology.slices):
-        for n in range(topology.monitors_per_slice):
-            manager = ManagerNode(s, model_cfg, cfg, seed)
-            monitor = MonitorNode(s, n, shards[(s, n)], model_cfg, cfg, seed)
-            nodes.append((manager, monitor))
-    for i in range(1, cfg.iterations + 1):
-        for manager, monitor in nodes:
-            _slice_iteration(manager, [monitor], None, i, traces, ledger)
-    return RunResult(
-        mode=cfg.mode, model_cfg=model_cfg,
-        managers={(mon.slice_id, mon.monitor_id): mgr for mgr, mon in nodes},
-        monitors={(mon.slice_id, mon.monitor_id): mon for _, mon in nodes},
-        global_params=None, traces=traces, ledger=ledger,
-    )
-
-
-def _run_centralized(topology, cfg, model_cfg, shards, seed, ledger, traces):
-    # every monitor ships its whole shard up both tiers once, then one
-    # model trains on the pooled data at the controller
-    bus = Bus(ledger)
-    pooled = []
-    for s in range(topology.slices):
-        for n in range(topology.monitors_per_slice):
-            shard = np.asarray(shards[(s, n)], dtype=np.float64)
-            bus.send(
-                wire.Message(wire.MSG_DATA_BATCH, s, n, 0, [shard]),
-                link=f"monitor[{s}.{n}]->manager[{s}]",
-            )
-            bus.send(
-                wire.Message(wire.MSG_DATA_BATCH, s, -1, 0, [shard]),
-                link=f"manager[{s}]->controller",
-            )
-            pooled.append(shard)
-    pooled = np.concatenate(pooled, axis=0)
-    manager = ManagerNode(0, model_cfg, cfg, seed)
-    monitor = MonitorNode(0, 0, pooled, model_cfg, cfg, seed)
-    for i in range(1, cfg.iterations + 1):
-        _slice_iteration(manager, [monitor], None, i, traces, ledger)
-    return RunResult(
-        mode=cfg.mode, model_cfg=model_cfg,
-        managers={(0, 0): manager}, monitors={(0, 0): monitor},
-        global_params=None, traces=traces, ledger=ledger,
-    )

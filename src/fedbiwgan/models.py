@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .nn import Dense, FeedForward, ShapeError, VlstmCell
+from .nn import Dense, FeedForward, ShapeError, VlstmCell, gradient_penalty
 
 
 @dataclass
@@ -254,33 +254,18 @@ class CriticLossResult:
     param_grads: dict
 
 
-def _critic_graph(d: CriticModel, real: JointPair, fake: JointPair, eps, eta):
-    """Build the minimized critic objective
-    mean[-(D(real) - D(fake))] + eta * mean[(‖∇D(interp)‖ - 1)²]."""
-    u_real = ad.tensor(real.flat(), requires_grad=True)
-    u_fake = ad.tensor(fake.flat(), requires_grad=True)
-    d_real = d(u_real)
-    d_fake = d(u_fake)
-    wgap = ad.tmean(ad.sub(d_real, d_fake))
-    inter = interpolate(real, fake, eps)
-    u_hat = ad.tensor(inter.flat(), requires_grad=True)
-    d_hat = d(u_hat)
-    g_hat = ad.grad(ad.tsum(d_hat), [u_hat])[0]
-    norms = ad.l2_norm_rows(g_hat)
-    gap = ad.sub(norms, ad.constant(1.0))
-    penalty = ad.mul(ad.constant(float(eta)), ad.tmean(ad.mul(gap, gap)))
-    loss = ad.add(ad.neg(wgap), penalty)
-    return loss, penalty, u_real, u_fake
-
-
 def critic_loss(d: CriticModel, real: JointPair, fake: JointPair, eps, eta) -> CriticLossResult:
+    """The minimized critic objective
+    mean[-(D(real) - D(fake))] + eta * mean[(‖∇D(interp)‖ - 1)²]."""
     if real.batch == 0:
         raise ValueError("empty batch")
     if real.batch != fake.batch:
         raise ShapeError("real/fake batch sizes differ")
-    if eta < 0:
-        raise ValueError("penalty coefficient must be non-negative")
-    loss, penalty, _, _ = _critic_graph(d, real, fake, eps, eta)
+    u_real = ad.tensor(real.flat(), requires_grad=True)
+    u_fake = ad.tensor(fake.flat(), requires_grad=True)
+    wgap = ad.tmean(ad.sub(d(u_real), d(u_fake)))
+    penalty = gradient_penalty(d, interpolate(real, fake, eps).flat(), eta)
+    loss = ad.add(ad.neg(wgap), penalty)
     params = d.params()
     names = list(params)
     grads = ad.grad(loss, [params[k] for k in names])
@@ -374,16 +359,9 @@ def baseline_loss(variant, d: CriticModel, real, fake, eps=None, eta=10.0) -> Ba
     else:
         wgap = ad.tmean(ad.sub(d_real, d_fake))
         if variant == "wgan_gp":
-            if isinstance(real, JointPair):
-                inter = interpolate(real, fake, eps)
-                hat_np = inter.flat()
-            else:
-                e = np.asarray(eps, dtype=np.float64).reshape(-1, 1)
-                hat_np = e * u_real_np + (1 - e) * u_fake_np
-            u_hat = ad.tensor(hat_np, requires_grad=True)
-            g_hat = ad.grad(ad.tsum(d(u_hat)), [u_hat])[0]
-            gp = ad.sub(ad.l2_norm_rows(g_hat), ad.constant(1.0))
-            d_obj = ad.add(ad.neg(wgap), ad.mul(ad.constant(float(eta)), ad.tmean(ad.mul(gp, gp))))
+            e = np.asarray(eps, dtype=np.float64).reshape(-1, 1)
+            penalty = gradient_penalty(d, e * u_real_np + (1 - e) * u_fake_np, eta)
+            d_obj = ad.add(ad.neg(wgap), penalty)
         else:
             d_obj = ad.neg(wgap)
         # G minimizes -E[D(fake)]; for bigan-style pairs E would also enter,

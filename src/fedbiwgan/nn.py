@@ -66,10 +66,6 @@ class Dense:
         return {f"{self.name}/weights": self.weights, f"{self.name}/bias": self.bias}
 
 
-def dense_apply(x: Tensor, layer: Dense) -> Tensor:
-    return layer(x)
-
-
 class VlstmCell:
     """Vanilla LSTM cell.
 
@@ -122,10 +118,6 @@ class VlstmCell:
             f"{self.name}/w_z": self.w_z, f"{self.name}/b_z": self.b_z,
             f"{self.name}/w_o": self.w_o, f"{self.name}/b_o": self.b_o,
         }
-
-
-def vlstm_step(y, h_prev, c_prev, cell: VlstmCell):
-    return cell.step(y, h_prev, c_prev)
 
 
 class FeedForward:
@@ -183,17 +175,20 @@ def network_backward(tape: Tape, output_gradient):
     return param_grads, grads[-1].data
 
 
-def gradient_penalty_backward(critic, x_hat, eta):
-    """Penalty eta*mean((‖∇_u D(u)‖₂ - 1)²) over the rows of x_hat, and its
-    exact parameter gradients via double backprop."""
+def gradient_penalty(critic, x_hat, eta) -> Tensor:
+    """Penalty eta*mean((‖∇_u D(u)‖₂ - 1)²) over the rows of x_hat, as a
+    graph whose parameter gradients are exact via double backprop."""
     if eta < 0:
         raise ValueError("penalty coefficient must be non-negative")
     u = ad.tensor(np.asarray(x_hat, dtype=np.float64), requires_grad=True)
-    out = critic(u)
-    g_input = ad.grad(ad.tsum(out), [u])[0]
-    norms = ad.l2_norm_rows(g_input)
-    gap = ad.sub(norms, ad.constant(1.0))
-    penalty = ad.mul(ad.constant(float(eta)), ad.tmean(ad.mul(gap, gap)))
+    g_input = ad.grad(ad.tsum(critic(u)), [u])[0]
+    gap = ad.sub(ad.l2_norm_rows(g_input), ad.constant(1.0))
+    return ad.mul(ad.constant(float(eta)), ad.tmean(ad.mul(gap, gap)))
+
+
+def gradient_penalty_backward(critic, x_hat, eta):
+    """The gradient penalty's value and its parameter gradients."""
+    penalty = gradient_penalty(critic, x_hat, eta)
     params = critic.params()
     names = list(params)
     grads = ad.grad(penalty, [params[k] for k in names])

@@ -1,4 +1,5 @@
-"""Bit-exact message serialization for the in-process bus.
+"""Bit-exact message serialization for the in-process bus, and the one
+tensor codec that checkpoints share.
 
 Layout (version 1, little-endian):
   16-byte header: u32 message type, i32 slice id, i32 monitor id
@@ -12,12 +13,14 @@ are accounted separately as overhead.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 HEADER = struct.Struct("<IiiI")
+U32 = struct.Struct("<I")
 WIRE_VERSION = 1
 
 MSG_DATA_BATCH = 1
@@ -35,6 +38,10 @@ MSG_NAMES = {
 }
 
 
+class WireError(ValueError):
+    """Bytes that do not decode: truncated, or with bytes left over."""
+
+
 @dataclass
 class Message:
     msg_type: int
@@ -44,33 +51,56 @@ class Message:
     tensors: list
 
 
+def encode_tensor(t) -> bytes:
+    """u32 ndim, u32 dims, then the float64 data in C order."""
+    arr = np.asarray(t, dtype="<f8")
+    return struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape) + arr.tobytes()
+
+
+def read(buf, offset, n):
+    """The n bytes at offset, and the offset just past them."""
+    end = offset + n
+    if end > len(buf):
+        raise WireError(
+            f"truncated: {n} bytes needed at offset {offset}, {max(len(buf) - offset, 0)} left"
+        )
+    return buf[offset:end], end
+
+
+def read_u32(buf, offset):
+    raw, offset = read(buf, offset, 4)
+    return U32.unpack(raw)[0], offset
+
+
+def decode_tensor(buf, offset):
+    """The tensor encoded at offset, and the offset just past it."""
+    ndim, offset = read_u32(buf, offset)
+    dims, offset = read(buf, offset, 4 * ndim)
+    shape = struct.unpack(f"<{ndim}I", dims)
+    size = math.prod(shape)
+    _, end = read(buf, offset, 8 * size)
+    arr = np.frombuffer(buf, dtype="<f8", count=size, offset=offset)
+    return arr.reshape(shape).astype(np.float64), end
+
+
 def encode_message(msg: Message) -> bytes:
-    parts = [HEADER.pack(msg.msg_type, msg.slice_id, msg.monitor_id, msg.iteration)]
-    parts.append(struct.pack("<I", len(msg.tensors)))
-    for t in msg.tensors:
-        arr = np.ascontiguousarray(t, dtype="<f8")
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.tobytes())
+    parts = [HEADER.pack(msg.msg_type, msg.slice_id, msg.monitor_id, msg.iteration),
+             U32.pack(len(msg.tensors))]
+    parts.extend(encode_tensor(t) for t in msg.tensors)
     return b"".join(parts)
 
 
 def decode_message(buf: bytes) -> Message:
-    msg_type, slice_id, monitor_id, iteration = HEADER.unpack_from(buf, 0)
-    offset = HEADER.size
-    (count,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
+    """Inverse of encode_message; WireError on truncation or trailing bytes."""
+    header, offset = read(buf, 0, HEADER.size)
+    count, offset = read_u32(buf, offset)
     tensors = []
     for _ in range(count):
-        (ndim,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{ndim}I", buf, offset)
-        offset += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(buf, dtype="<f8", count=size, offset=offset).reshape(shape)
-        offset += 8 * size
-        tensors.append(arr.astype(np.float64))
-    return Message(msg_type, slice_id, monitor_id, iteration, tensors)
+        arr, offset = decode_tensor(buf, offset)
+        tensors.append(arr)
+    if offset != len(buf):
+        raise WireError(f"{len(buf) - offset} trailing bytes after the last tensor")
+    return Message(*HEADER.unpack(header), tensors)
 
 
 def payload_bytes(tensors) -> int:

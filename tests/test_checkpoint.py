@@ -22,13 +22,42 @@ BUILDERS = {
 
 def test_container_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
-    tensors = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal(5)}
+    tensors = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal(5),
+               "scalar": np.float64(rng.standard_normal()), "empty": np.zeros((0, 4)),
+               "cube": rng.standard_normal((2, 3, 4))}
     path = tmp_path / "c.ckpt"
     save_container(path, {"kind": "test", "n": 3}, tensors)
     meta, loaded = load_container(path)
     assert meta == {"kind": "test", "n": 3}
+    assert set(loaded) == set(tensors)
     for k in tensors:
-        np.testing.assert_array_equal(tensors[k], loaded[k])
+        assert loaded[k].shape == np.shape(tensors[k])
+        assert loaded[k].tobytes() == np.asarray(tensors[k]).tobytes()
+
+
+def test_container_every_truncation_raises_checkpoint_error(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_container(path, {"k": 1}, {"s": np.float64(2.0), "v": np.arange(3.0)})
+    whole = path.read_bytes()
+    for cut in range(len(whole)):
+        path.write_bytes(whole[:cut])
+        with pytest.raises(CheckpointError):
+            load_container(path)
+    path.write_bytes(whole + b"\x00")
+    with pytest.raises(CheckpointError, match="trailing"):
+        load_container(path)
+
+
+def test_container_bad_metadata_block(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_container(path, {"k": 1}, {})
+    whole = path.read_bytes()
+    for block in (b'{"k":', b"[1,2]"):
+        meta_len = len(b'{"k":1}')
+        bad = whole[:12] + len(block).to_bytes(4, "little") + block + whole[16 + meta_len:]
+        path.write_bytes(bad)
+        with pytest.raises(CheckpointError, match="metadata|corrupt"):
+            load_container(path)
 
 
 def test_container_byte_identical(tmp_path):

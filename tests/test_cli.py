@@ -146,6 +146,16 @@ def test_unknown_mode_flag_exits_2(trained_run, tmp_path, capsys):
     assert code == 2
 
 
+def test_threads_flag_is_unknown_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(TINY_CONFIG)
+    code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                 "--threads", "2"])
+    assert "--threads" in capsys.readouterr().err
+    assert code == 2
+    assert not (tmp_path / "run").exists()
+
+
 def test_empty_run_dir_exits_1(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

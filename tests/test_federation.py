@@ -445,3 +445,40 @@ def test_param_counts_recorded():
     assert counts["generator"] == sum(
         p.data.size for p in manager.generator.params().values())
     assert counts["critic"] > 0 and counts["encoder"] > 0
+
+
+@pytest.mark.parametrize("mode", ["standalone", "distributed", "centralized", "federated"])
+def test_mode_communication_pattern_and_keys(mode):
+    topo = TopologySpec(2, 2)
+    iterations, local_iters = 4, 2
+    res = run_training(topo, _cfg(mode=mode, iterations=iterations, local_iters=local_iters),
+                       SMALL, _shards(topo, n_windows=10), 0)
+    cells = [(s, n) for s in range(2) for n in range(2)]
+    records = res.ledger.records
+    kinds = [r["kind"] for r in records]
+    labels = [t["node"] for t in res.traces]
+    assert len(labels) == iterations * len(res.managers)
+    if mode == "standalone":
+        assert records == []
+        assert list(res.managers) == cells and list(res.monitors) == cells
+        assert labels == ["0.0", "0.1", "1.0", "1.1"] * iterations
+    elif mode == "centralized":
+        assert kinds == ["data_batch"] * 2 * len(cells)
+        assert all(r["iteration"] == 0 for r in records)
+        links = [r["link"] for r in records]
+        for s, n in cells:
+            assert links.count(f"monitor[{s}.{n}]->manager[{s}]") == 1
+        for s in range(2):
+            assert links.count(f"manager[{s}]->controller") == 2
+        assert list(res.managers) == [(0, 0)] and list(res.monitors) == [(0, 0)]
+        assert labels == ["0.0"] * iterations
+    else:
+        assert list(res.managers) == [0, 1] and list(res.monitors) == cells
+        assert labels == ["0", "1"] * iterations
+        rounds = iterations // local_iters if mode == "federated" else 0
+        for s in range(2):
+            for kind in ("params_up", "params_down"):
+                assert sum(r["kind"] == kind and f"manager[{s}]" in r["link"]
+                           for r in records) == rounds
+        assert set(kinds) - {"params_up", "params_down"} == {
+            "data_batch", "gen_packet", "feedback"}

@@ -1,10 +1,12 @@
 import numpy as np
+import pytest
 
 from fedbiwgan.wire import (
     HEADER,
     MSG_FEEDBACK,
     MSG_GEN_PACKET,
     Message,
+    WireError,
     decode_message,
     encode_message,
     overhead_bytes,
@@ -15,13 +17,28 @@ from fedbiwgan.wire import (
 def test_roundtrip_bitwise():
     rng = np.random.default_rng(0)
     tensors = [rng.standard_normal((3, 4)), rng.standard_normal(7),
-               rng.standard_normal((2, 2, 2))]
+               rng.standard_normal((2, 2, 2)), np.float64(rng.standard_normal()),
+               np.zeros((0, 4)), rng.standard_normal((2, 3, 4))]
     msg = Message(MSG_GEN_PACKET, 1, 2, 42, tensors)
-    out = decode_message(encode_message(msg))
+    encoded = encode_message(msg)
+    out = decode_message(encoded)
     assert (out.msg_type, out.slice_id, out.monitor_id, out.iteration) == (
         MSG_GEN_PACKET, 1, 2, 42)
+    assert len(out.tensors) == len(tensors)
     for a, b in zip(tensors, out.tensors):
-        np.testing.assert_array_equal(a, b)
+        assert b.shape == np.shape(a) and b.dtype == np.float64
+        assert b.tobytes() == np.asarray(a).tobytes()
+    assert len(encoded) == payload_bytes(tensors) + overhead_bytes(tensors)
+
+
+def test_every_truncation_and_trailing_bytes_raise_wire_error():
+    tensors = [np.float64(1.5), np.zeros((0, 2)), np.arange(6.0).reshape(2, 3)]
+    encoded = encode_message(Message(MSG_FEEDBACK, 0, -1, 3, tensors))
+    for cut in range(len(encoded)):
+        with pytest.raises(WireError):
+            decode_message(encoded[:cut])
+    with pytest.raises(WireError, match="trailing"):
+        decode_message(encoded + b"\x00")
 
 
 def test_negative_monitor_id():
