@@ -80,9 +80,25 @@ def load_models(path, builders):
     from .models import ModelConfig
 
     metadata, tensors = load_container(path)
-    cfg = ModelConfig.from_dict(metadata["model_config"])
+    cfg_dict, prefixes = metadata.get("model_config"), metadata.get("models")
+    if not isinstance(prefixes, list) or not all(isinstance(m, str) for m in prefixes):
+        raise CheckpointError(f"{path}: metadata needs a 'models' list of names")
+    fields = sorted(ModelConfig().to_dict())
+    if not isinstance(cfg_dict, dict) or sorted(cfg_dict) != fields:
+        raise CheckpointError(
+            f"{path}: metadata needs a 'model_config' object with the fields {fields}, "
+            f"got {cfg_dict!r}"
+        )
+    try:
+        cfg = ModelConfig.from_dict(cfg_dict)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad model_config: {exc}") from None
+    sizes = [cfg.features, cfg.window, cfg.latent_dim, *cfg.gen_hidden, *cfg.critic_hidden]
+    if not all(type(v) is int and v >= 1 for v in sizes):
+        raise CheckpointError(f"{path}: model_config sizes must be positive integers, "
+                              f"got {cfg_dict!r}")
     models = {}
-    for prefix in metadata["models"]:
+    for prefix in prefixes:
         if prefix not in builders:
             raise CheckpointError(f"{path}: no builder for model {prefix!r}")
         model = builders[prefix](cfg)

@@ -18,7 +18,13 @@ from .checkpoint import load_models, save_models
 from .config import ConfigError, load_config, load_experiment, resolve_experiment
 from .data import FEATURE_NAMES, SynthSpec, synth_dataset
 from .detection import evaluate, per_fault_recall
-from .experiment import _injected_samples, build_node_data, train_experiment
+from .experiment import (
+    _injected_samples,
+    build_node_data,
+    calibrate_monitors,
+    detect_monitors,
+    train_experiment,
+)
 from .federation import MODES
 from .ledger import CostLedger, flop_estimates
 from .models import CriticModel, EncoderModel, GeneratorModel
@@ -124,16 +130,18 @@ def cmd_train(args):
     return 0
 
 
-def _load_bundles(run_dir, manifest):
+def _load_bundles(run_dir, manifest, split):
+    """Each monitor's (g, e, d) from its checkpoint and its stored `split`
+    windows, as two (s, n)-keyed mappings."""
+    from .checkpoint import load_container
+
     builders = {
         "generator": lambda cfg: GeneratorModel(cfg, np.random.default_rng(0)),
         "encoder": lambda cfg: EncoderModel(cfg, np.random.default_rng(0)),
         "critic": lambda cfg: CriticModel(cfg, np.random.default_rng(0)),
     }
-    bundles = {}
+    bundles, windows = {}, {}
     topo = manifest["topology"]
-    from .checkpoint import load_container
-
     for s in range(topo["slices"]):
         for n in range(topo["monitors_per_slice"]):
             # a centralized run trains one pooled model at (0, 0)
@@ -146,46 +154,24 @@ def _load_bundles(run_dir, manifest):
                     f"provenance error: checkpoint node_{s}_{n}.ckpt was produced by a "
                     f"different config (hash {meta.get('config_hash')})"
                 )
-            wmeta, wtensors = load_container(run_dir / "windows" / f"node_{s}_{n}.ckpt")
-            bundles[(s, n)] = (models, wtensors)
-    return bundles
-
-
-def _score_split(run_dir, manifest, split, gamma, seed_offset):
-    from .detection import score_windows
-
-    bundles = _load_bundles(run_dir, manifest)
-    per_node = {}
-    for (s, n), (models, wtensors) in sorted(bundles.items()):
-        x, labels, faults = _injected_samples(
-            wtensors[split], manifest["injection"], seed_offset
-        )
-        scored = score_windows(
-            x, models["generator"], models["encoder"], models["critic"],
-            gamma, labels=labels, faults=faults,
-        )
-        per_node[(s, n)] = scored
-    return per_node
+            bundles[(s, n)] = (models["generator"], models["encoder"], models["critic"])
+            _, wtensors = load_container(run_dir / "windows" / f"node_{s}_{n}.ckpt")
+            windows[(s, n)] = wtensors[split]
+    return bundles, windows
 
 
 def cmd_calibrate(args):
     run_dir, manifest = _load_run(args.run)
     gamma = manifest["gamma"] if args.gamma is None else args.gamma
-    from .detection import calibrate_threshold
-
-    per_node = _score_split(run_dir, manifest, "val", gamma, seed_offset=0)
-    thresholds = {}
-    for (s, n), scored in per_node.items():
-        th, mean_normal, mean_abnormal, degenerate = calibrate_threshold(scored)
-        entry = {"threshold": th, "mean_normal": mean_normal,
-                 "mean_abnormal": mean_abnormal}
-        if degenerate:
-            entry["degenerate"] = True
-        thresholds[_node_key(s, n)] = entry
+    bundles, val = _load_bundles(run_dir, manifest, "val")
+    thresholds = calibrate_monitors(bundles, val, manifest["injection"], gamma)
     _write_json(run_dir / "thresholds.json", {
         "config_hash": manifest["config_hash"],
         "gamma": gamma,
-        "per_node": thresholds,
+        "per_node": {
+            _node_key(*key): {k: v for k, v in entry.items() if k != "degenerate" or v}
+            for key, entry in thresholds.items()
+        },
     })
     print(f"calibrated {len(thresholds)} monitor thresholds -> {run_dir / 'thresholds.json'}")
     return 0
@@ -200,16 +186,16 @@ def cmd_detect(args, with_metrics=False):
     if th_doc["config_hash"] != manifest["config_hash"]:
         raise UsageError("provenance error: thresholds were calibrated for a different config")
     gamma = th_doc["gamma"]
-    per_node = _score_split(run_dir, manifest, "test", gamma, seed_offset=1)
+    bundles, test = _load_bundles(run_dir, manifest, "test")
+    thresholds = {key: th_doc["per_node"][_node_key(*key)]["threshold"] for key in bundles}
+    per_node = detect_monitors(bundles, test, manifest["injection"], thresholds, gamma)
     all_scored = []
     with open(run_dir / "scores.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node", "window", "score", "reconstruction_term",
                         "discriminator_term", "true_label", "predicted_label", "fault"])
-        for (s, n), scored in sorted(per_node.items()):
-            threshold = th_doc["per_node"][_node_key(s, n)]["threshold"]
+        for (s, n), scored in per_node.items():
             for sample in scored:
-                sample.predicted_label = int(sample.score > threshold)
                 writer.writerow([
                     _node_key(s, n), sample.window_id, f"{sample.score:.12g}",
                     f"{sample.reconstruction_term:.12g}",
@@ -264,6 +250,8 @@ def cmd_compare(args):
     train = np.concatenate([nd.train for nd in nodes.values()])
     val = np.concatenate([nd.val for nd in nodes.values()])
     test = np.concatenate([nd.test for nd in nodes.values()])
+    val_x, val_labels, val_faults = _injected_samples(val, exp.injection, 0)
+    test_x, test_labels, test_faults = _injected_samples(test, exp.injection, 1)
     dataset_hash = config_hash({"data": exp.data, "topology": exp.raw.get("topology", {})})
 
     out = Path(args.out)
@@ -272,17 +260,10 @@ def cmd_compare(args):
     for seed in seeds:
         for variant in variants:
             bundle = train_variant(variant, train, exp.model, exp.training, seed)
-            inj = exp.injection
-            val_x, val_labels, val_faults = _injected_samples(val, inj, 0)
-            test_x, test_labels, test_faults = _injected_samples(test, inj, 1)
-            scored_val = bundle.score(val_x, exp.gamma)
-            for sample, label in zip(scored_val, val_labels):
-                sample.true_label = label
+            scored_val = bundle.score(val_x, exp.gamma, labels=val_labels, faults=val_faults)
             th, *_ = calibrate_threshold(scored_val)
-            scored_test = bundle.score(test_x, exp.gamma)
-            for sample, label, fault in zip(scored_test, test_labels, test_faults):
-                sample.true_label = label
-                sample.fault = fault
+            scored_test = bundle.score(test_x, exp.gamma, labels=test_labels,
+                                       faults=test_faults)
             classify_all(scored_test, th)
             metrics = evaluate(scored_test)
             rows.append({

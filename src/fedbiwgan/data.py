@@ -6,9 +6,11 @@ splits, fault injection, and a synthetic generator for desk-scale runs.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Canonical 26-feature schema: 4 CPU, 8 disk, 7 memory, 7 network.
 FEATURE_NAMES = [
@@ -42,36 +44,24 @@ class DataError(ValueError):
     pass
 
 
-@dataclass
-class MetricsRecord:
-    timestamp: float
-    features: np.ndarray  # [26]
-    label: int | None = None  # 0 normal, 1 abnormal, None unknown
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.shape != (NUM_FEATURES,):
-            raise DataError(
-                f"record needs exactly {NUM_FEATURES} features, got {self.features.shape}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # ingestion
 
 
-def load_dataset(path, column_mapping=None, label_column=None,
-                 timestamp_column=None, strict=False, max_gap=3):
-    """Read a delimited text file into MetricsRecords.
+def load_dataset(path, column_mapping=None, label_column=None, strict=False, max_gap=3):
+    """Read a delimited text file into a [rows, 26] float64 matrix and a
+    [rows] int label array (1 abnormal, 0 normal, -1 blank cell), or None
+    for the labels when no label_column is given.
 
     column_mapping maps each canonical feature name to the file's column
-    header; identity mapping by default. Unparseable rows are skipped with
-    a warning list (or fatal if strict). Missing values are linearly
-    interpolated over gaps of at most `max_gap` rows, longer gaps drop
-    the affected rows.
+    header; identity mapping by default. A row with a cell that does not
+    parse as a finite number (or a label that is not a finite number) is
+    skipped, or raises DataError naming file:line when strict. Blank and
+    NaN feature cells are missing values: linearly interpolated over gaps
+    of at most `max_gap` rows, while longer gaps drop the affected rows.
     """
     mapping = dict(column_mapping or {})
-    rows, raw_labels, raw_ts = [], [], []
+    rows, labels = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -83,42 +73,43 @@ def load_dataset(path, column_mapping=None, label_column=None,
                 raise DataError(f"{path}: mapped column {src!r} (for {name}) not found")
             columns.append(src)
         for lineno, row in enumerate(reader, start=2):
-            values = np.empty(NUM_FEATURES)
-            ok = True
-            for j, src in enumerate(columns):
-                cell = (row.get(src) or "").strip()
-                if cell == "":
-                    values[j] = np.nan
-                    continue
-                try:
-                    values[j] = float(cell)
-                except ValueError:
-                    if strict:
-                        raise DataError(f"{path}:{lineno}: unparseable value {cell!r} in {src}")
-                    ok = False
-                    break
-            if not ok:
+            try:
+                values = [_parse_cell(row.get(src), src) for src in columns]
+                label = _parse_label(row.get(label_column), label_column) if label_column else 0
+            except DataError as exc:
+                if strict:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
                 continue
             rows.append(values)
-            raw_labels.append(_parse_label(row.get(label_column)) if label_column else None)
-            raw_ts.append(
-                float(row[timestamp_column]) if timestamp_column and row.get(timestamp_column)
-                else float(len(rows) - 1)
-            )
-    if not rows:
-        return []
-    matrix = np.vstack(rows)
+            labels.append(label)
+    matrix = np.array(rows, dtype=np.float64).reshape(-1, NUM_FEATURES)
     keep = _interpolate_gaps(matrix, max_gap)
-    return [
-        MetricsRecord(timestamp=raw_ts[i], features=matrix[i], label=raw_labels[i])
-        for i in np.nonzero(keep)[0]
-    ]
+    return matrix[keep], np.array(labels, dtype=np.int64)[keep] if label_column else None
 
 
-def _parse_label(value):
-    if value is None or str(value).strip() == "":
-        return None
-    return int(float(value) != 0.0)
+def _parse_cell(cell, column):
+    """A finite float, or NaN for a blank cell; DataError otherwise."""
+    cell = (cell or "").strip()
+    if cell == "":
+        return np.nan
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.inf
+    if math.isinf(value):
+        raise DataError(f"unparseable value {cell!r} in {column}")
+    return value
+
+
+def _parse_label(cell, column):
+    """1 abnormal (any nonzero number), 0 normal, -1 for a blank cell."""
+    cell = (cell or "").strip()
+    if cell == "":
+        return -1
+    value = _parse_cell(cell, column)
+    if math.isnan(value):
+        raise DataError(f"unparseable label {cell!r} in {column}")
+    return int(value != 0.0)
 
 
 def _interpolate_gaps(matrix, max_gap):
@@ -146,12 +137,6 @@ def _interpolate_gaps(matrix, max_gap):
                 frac = (k - start + 1) / (end - start + 1)
                 col[k] = left + frac * (right - left)
     return keep
-
-
-def records_to_matrix(records):
-    if not records:
-        return np.zeros((0, NUM_FEATURES))
-    return np.vstack([r.features for r in records])
 
 
 # ---------------------------------------------------------------------------
@@ -195,42 +180,36 @@ def fit_normalizer(train_values) -> Normalizer:
 # windowing and splits
 
 
-@dataclass
-class WindowedSample:
-    window: np.ndarray  # [t, features]
-    label: int = 0
-    fault: str | None = None
-    source_vm: str | None = None
-    index: int = 0
-
-
-def make_windows(values, t, stride=1, labels=None, source_vm=None):
-    """Consecutive windows of length t over a [rows, features] matrix.
-    A window is abnormal iff any member record is abnormal."""
-    values = np.asarray(values, dtype=np.float64)
+def _window_view(values, t, stride):
+    """Read-only [n, ..., t] view of every stride-th length-t window."""
     if t < 1:
-        raise DataError("window length must be >= 1")
-    n = values.shape[0]
-    if t > n:
-        raise DataError(f"window length {t} exceeds record count {n}")
-    out = []
-    for idx, start in enumerate(range(0, n - t + 1, stride)):
-        label = 0
-        if labels is not None:
-            label = int(any(bool(l) for l in labels[start:start + t] if l is not None))
-        out.append(WindowedSample(
-            window=values[start:start + t].copy(),
-            label=label,
-            source_vm=source_vm,
-            index=idx,
-        ))
-    return out
+        raise DataError(f"window length must be >= 1, got {t}")
+    if stride < 1:
+        raise DataError(f"data.stride must be >= 1, got {stride}")
+    if t > values.shape[0]:
+        raise DataError(f"window length {t} exceeds record count {values.shape[0]}")
+    return sliding_window_view(values, t, axis=0)[::stride]
+
+
+def make_windows(values, t, stride=1):
+    """Every stride-th run of t consecutive rows of a [rows, features]
+    matrix, as a C-contiguous float64 [n, t, features] array."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.ascontiguousarray(np.moveaxis(_window_view(values, t, stride), -1, 1))
+
+
+def window_labels(labels, t, stride=1):
+    """[n] window labels for make_windows' windows over the same rows: a
+    window is abnormal iff any member row is labeled abnormal (1)."""
+    return _window_view(np.asarray(labels) == 1, t, stride).any(axis=-1).astype(np.int64)
 
 
 def split_windows(windows, ratios=(0.6, 0.2, 0.2)):
     """Chronological train/val/test split; no shuffling across time."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise DataError("split ratios must sum to 1")
+    if len(ratios) != 3 or min(ratios) < 0 or abs(sum(ratios) - 1.0) > 1e-9:
+        raise DataError(
+            f"data.ratios must be three non-negative fractions summing to 1, got {list(ratios)}"
+        )
     n = len(windows)
     n_train = int(round(ratios[0] * n))
     n_val = int(round(ratios[1] * n))
@@ -241,98 +220,62 @@ def split_windows(windows, ratios=(0.6, 0.2, 0.2)):
     }
 
 
-def windows_matrix(windows):
-    if not windows:
-        return np.zeros((0, 0, NUM_FEATURES))
-    return np.stack([w.window for w in windows])
-
-
 # ---------------------------------------------------------------------------
 # fault injection
 
 
-@dataclass
-class InjectionSpec:
-    fault_type: str
-    rate: float
-    magnitude: float = 2.5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.fault_type not in FAULT_TYPES:
-            raise DataError(f"unknown fault type {self.fault_type!r}")
-        if not (0 < self.rate < 1):
-            raise DataError("injection rate must lie in (0, 1)")
-
-
-def _perturb(window, fault_type, magnitude):
-    """Apply a fault signature to a normalized [t, features] window,
-    touching only the fault's feature group."""
-    t = window.shape[0]
-    w = window.copy()
+def _perturb(windows, fault_type, magnitude):
+    """Apply a fault signature to normalized [..., t, features] windows,
+    touching only the fault's feature group; returns a perturbed copy."""
+    t = windows.shape[-2]
+    w = windows.copy()
     if fault_type == "cpu_endless_loop":
         # busy spin: idle collapses, wait/system/stolen saturate past range
-        w[:, 0] *= 0.02
-        w[:, 1:4] = magnitude
+        w[..., 0] *= 0.02
+        w[..., 1:4] = magnitude
     elif fault_type == "memory_leak":
         # monotone ramp: load climbs, usable/free drain below range
         ramp = np.linspace(0.0, magnitude, t).reshape(-1, 1)
-        w[:, 12:13] += ramp
-        w[:, 13:16] -= ramp
-        w[:, 17:19] -= 0.75 * ramp
+        w[..., 12:13] += ramp
+        w[..., 13:16] -= ramp
+        w[..., 17:19] -= 0.75 * ramp
     elif fault_type == "disk_io_fault":
         # read/write activity and wait spiked multiplicatively
-        w[:, 5:12] *= magnitude
-        w[:, 4] += 0.5
+        w[..., 5:12] *= magnitude
+        w[..., 4] += 0.5
     elif fault_type == "network_congestion":
         # in traffic, errors and drops spike; out size throttled
-        w[:, 19] = w[:, 19] * magnitude + 0.5
-        w[:, 21:26] = w[:, 21:26] * magnitude + 0.5
-        w[:, 20] *= 0.1
+        w[..., 19] = w[..., 19] * magnitude + 0.5
+        w[..., 21:26] = w[..., 21:26] * magnitude + 0.5
+        w[..., 20] *= 0.1
     return w
 
 
-def inject_anomalies(windows, spec: InjectionSpec):
-    """Perturb a seeded random fraction of windows per the fault signature
-    and relabel them abnormal; all other windows are returned untouched."""
-    rng = np.random.default_rng(spec.seed)
-    n = len(windows)
-    count = int(round(spec.rate * n))
-    picked = set(rng.choice(n, size=count, replace=False).tolist()) if count else set()
-    out = []
-    for i, sample in enumerate(windows):
-        if i in picked:
-            out.append(WindowedSample(
-                window=_perturb(sample.window, spec.fault_type, spec.magnitude),
-                label=1,
-                fault=spec.fault_type,
-                source_vm=sample.source_vm,
-                index=sample.index,
-            ))
-        else:
-            out.append(sample)
-    return out
+def inject_faults(windows, rate, magnitude=2.5, seed=0, faults=FAULT_TYPES):
+    """Perturb a seeded round(rate * n) of the [n, t, features] windows,
+    cycling through `faults` on disjoint window sets.
 
-
-def inject_fault_mix(windows, rate, magnitude=2.5, seed=0):
-    """Inject all four fault types on disjoint window sets, rate total."""
+    Returns (x, labels, faults): the windows with the injected ones
+    perturbed (all others bitwise untouched), an [n] int array that is 1
+    on injected windows, and an [n] object array of fault names (None on
+    untouched windows)."""
+    if not 0.0 <= rate <= 1.0:
+        raise DataError(f"injection.rate must lie in [0, 1], got {rate}")
+    if not faults or not set(faults) <= set(FAULT_TYPES):
+        raise DataError(f"unknown fault types {list(faults)}; valid types are {list(FAULT_TYPES)}")
+    x = np.array(windows, dtype=np.float64)
+    n = x.shape[0]
     rng = np.random.default_rng(seed)
-    n = len(windows)
-    count = int(round(rate * n))
-    picked = rng.choice(n, size=count, replace=False)
-    faults = [FAULT_TYPES[i % len(FAULT_TYPES)] for i in range(count)]
+    picked = rng.choice(n, size=int(round(rate * n)), replace=False)
     rng.shuffle(picked)
-    out = list(windows)
-    for i, fault in zip(picked, faults):
-        sample = out[i]
-        out[i] = WindowedSample(
-            window=_perturb(sample.window, fault, magnitude),
-            label=1,
-            fault=fault,
-            source_vm=sample.source_vm,
-            index=sample.index,
-        )
-    return out
+    labels = np.zeros(n, dtype=np.int64)
+    names = np.full(n, None, dtype=object)
+    for k, fault in enumerate(faults):
+        idx = picked[k::len(faults)]
+        x[idx] = _perturb(x[idx], fault, magnitude)
+        labels[idx] = 1
+        names[idx] = fault
+    return x, labels, names
 
 
 # ---------------------------------------------------------------------------

@@ -22,16 +22,6 @@ class DetectionError(ValueError):
 
 
 @dataclass
-class DetectionConfig:
-    gamma: float = 0.9
-    threshold: float | None = None
-
-    def __post_init__(self):
-        if not (0.0 <= self.gamma <= 1.0):
-            raise DetectionError("gamma must lie in [0, 1]")
-
-
-@dataclass
 class ScoredSample:
     window_id: int
     score: float

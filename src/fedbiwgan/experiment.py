@@ -17,13 +17,11 @@ from .data import (
     Normalizer,
     SynthSpec,
     fit_normalizer,
-    inject_fault_mix,
+    inject_faults,
     load_dataset,
     make_windows,
-    records_to_matrix,
     split_windows,
     synth_dataset,
-    windows_matrix,
 )
 from .detection import (
     calibrate_threshold,
@@ -72,21 +70,17 @@ def build_node_data(exp: Experiment) -> dict:
                 key = f"{s}.{n}"
                 if key not in paths:
                     raise ConfigError(f"data.paths has no entry for monitor {key}")
-                records = load_dataset(
+                values, _ = load_dataset(
                     paths[key],
                     column_mapping=data_cfg.get("mapping"),
                     label_column=data_cfg.get("label_column"),
                 )
-                values = records_to_matrix(records)
             else:
                 raise ConfigError(f"unknown data source {source!r}")
-            windows = make_windows(values, t, stride)
-            splits = split_windows(windows, ratios)
-            normalizer = fit_normalizer(windows_matrix(splits["train"]))
+            splits = split_windows(make_windows(values, t, stride), ratios)
+            normalizer = fit_normalizer(splits["train"])
             nodes[(s, n)] = NodeData(
-                train=normalizer.apply(windows_matrix(splits["train"])),
-                val=normalizer.apply(windows_matrix(splits["val"])),
-                test=normalizer.apply(windows_matrix(splits["test"])),
+                **{name: normalizer.apply(w) for name, w in splits.items()},
                 normalizer=normalizer,
             )
     return nodes
@@ -100,34 +94,34 @@ def train_experiment(exp: Experiment, nodes: dict | None = None):
 
 
 def _injected_samples(windows, injection, seed_offset):
-    """Wrap normalized windows, inject the four-fault mix, return
-    (matrix, labels, faults)."""
-    from .data import WindowedSample
-
-    samples = [WindowedSample(window=w, label=0) for w in windows]
-    injected = inject_fault_mix(
-        samples,
+    """inject_faults with the rate, magnitude and seed of an `injection`
+    config section; the seed is offset per split (val 0, test 1)."""
+    return inject_faults(
+        windows,
         rate=float(injection.get("rate", 0.1)),
         magnitude=float(injection.get("magnitude", 2.5)),
         seed=int(injection.get("seed", 0)) + seed_offset,
     )
-    return (
-        np.stack([s.window for s in injected]),
-        [s.label for s in injected],
-        [s.fault for s in injected],
-    )
 
 
-def calibrate_experiment(exp: Experiment, result: RunResult, nodes: dict, gamma=None):
-    """Per-monitor thresholds from the injected validation split."""
-    gamma = exp.gamma if gamma is None else gamma
+def score_monitors(bundles, windows, injection, seed_offset, gamma):
+    """Inject the four-fault mix into each monitor's windows and score
+    them with that monitor's models. bundles maps (s, n) -> (g, e, d) and
+    windows maps (s, n) -> [num, t, features]; returns (s, n) -> scored
+    samples, in the order of `bundles`."""
+    scored = {}
+    for key, (g, e, d) in bundles.items():
+        x, labels, faults = _injected_samples(windows[key], injection, seed_offset)
+        scored[key] = score_windows(x, g, e, d, gamma, labels=labels, faults=faults)
+    return scored
+
+
+def calibrate_monitors(bundles, windows, injection, gamma):
+    """Per-monitor thresholds from the injected validation windows."""
     thresholds = {}
-    for (s, n), nd in nodes.items():
-        g, e, d = result.bundle_for(s, n)
-        x, labels, faults = _injected_samples(nd.val, exp.injection, seed_offset=0)
-        scored = score_windows(x, g, e, d, gamma, labels=labels, faults=faults)
+    for key, scored in score_monitors(bundles, windows, injection, 0, gamma).items():
         th, mean_normal, mean_abnormal, degenerate = calibrate_threshold(scored)
-        thresholds[(s, n)] = {
+        thresholds[key] = {
             "threshold": th,
             "mean_normal": mean_normal,
             "mean_abnormal": mean_abnormal,
@@ -136,21 +130,40 @@ def calibrate_experiment(exp: Experiment, result: RunResult, nodes: dict, gamma=
     return thresholds
 
 
+def detect_monitors(bundles, windows, injection, thresholds, gamma):
+    """Score the injected test windows of every monitor and classify them
+    against thresholds[(s, n)]; returns (s, n) -> classified samples."""
+    scored = score_monitors(bundles, windows, injection, 1, gamma)
+    for key, samples in scored.items():
+        classify_all(samples, thresholds[key])
+    return scored
+
+
+def _bundles(result: RunResult, nodes: dict):
+    return {key: result.bundle_for(*key) for key in nodes}
+
+
+def calibrate_experiment(exp: Experiment, result: RunResult, nodes: dict, gamma=None):
+    """Per-monitor thresholds from the injected validation split."""
+    gamma = exp.gamma if gamma is None else gamma
+    val = {key: nd.val for key, nd in nodes.items()}
+    return calibrate_monitors(_bundles(result, nodes), val, exp.injection, gamma)
+
+
 def detect_experiment(exp: Experiment, result: RunResult, nodes: dict,
                       thresholds: dict, gamma=None):
     """Score and classify the injected test split on every monitor;
     returns (scored samples with node tags, pooled metrics, per-fault
     recall)."""
     gamma = exp.gamma if gamma is None else gamma
+    test = {key: nd.test for key, nd in nodes.items()}
+    per_node = detect_monitors(
+        _bundles(result, nodes), test, exp.injection,
+        {key: th["threshold"] for key, th in thresholds.items()}, gamma,
+    )
     all_scored = []
-    for (s, n), nd in nodes.items():
-        g, e, d = result.bundle_for(s, n)
-        x, labels, faults = _injected_samples(nd.test, exp.injection, seed_offset=1)
-        scored = score_windows(x, g, e, d, gamma, labels=labels, faults=faults)
-        classify_all(scored, thresholds[(s, n)]["threshold"])
+    for (s, n), scored in per_node.items():
         for sample in scored:
             sample.window_id = (s, n, sample.window_id)
         all_scored.extend(scored)
-    metrics = evaluate(all_scored)
-    fault_recall = per_fault_recall(all_scored)
-    return all_scored, metrics, fault_recall
+    return all_scored, evaluate(all_scored), per_fault_recall(all_scored)

@@ -37,16 +37,21 @@ class VariantBundle:
         self.critic = critic
         self.model_cfg = model_cfg
 
-    def score(self, windows, gamma) -> list[ScoredSample]:
+    def score(self, windows, gamma, labels=None, faults=None) -> list[ScoredSample]:
+        """score_windows for the bidirectional variants; the critic-only
+        ones are scored by the critic confidence term alone."""
         x = np.asarray(windows, dtype=np.float64)
-        n = x.shape[0]
         if self.encoder is not None:
-            return score_windows(x, self.generator, self.encoder, self.critic, gamma)
+            return score_windows(x, self.generator, self.encoder, self.critic, gamma,
+                                 labels=labels, faults=faults)
+        n = x.shape[0]
         raw = self.critic.raw_output(ad.tensor(x.reshape(n, -1))).data[:, 0]
         l_disc = np.logaddexp(0.0, -raw)
         return [
             ScoredSample(window_id=i, score=float(l_disc[i]),
-                         reconstruction_term=0.0, discriminator_term=float(l_disc[i]))
+                         reconstruction_term=0.0, discriminator_term=float(l_disc[i]),
+                         true_label=None if labels is None else int(labels[i]),
+                         fault=None if faults is None else faults[i])
             for i in range(n)
         ]
 

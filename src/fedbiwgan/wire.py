@@ -39,7 +39,8 @@ MSG_NAMES = {
 
 
 class WireError(ValueError):
-    """Bytes that do not decode: truncated, or with bytes left over."""
+    """Bytes that do not decode (truncated, or with bytes left over), or a
+    header that does not encode."""
 
 
 @dataclass
@@ -84,8 +85,15 @@ def decode_tensor(buf, offset):
 
 
 def encode_message(msg: Message) -> bytes:
-    parts = [HEADER.pack(msg.msg_type, msg.slice_id, msg.monitor_id, msg.iteration),
-             U32.pack(len(msg.tensors))]
+    """WireError if a header field does not fit its u32/i32 slot."""
+    try:
+        header = HEADER.pack(msg.msg_type, msg.slice_id, msg.monitor_id, msg.iteration)
+    except struct.error as exc:
+        raise WireError(
+            f"header (type {msg.msg_type!r}, slice {msg.slice_id!r}, monitor "
+            f"{msg.monitor_id!r}, iteration {msg.iteration!r}) does not fit u32/i32/i32/u32: {exc}"
+        ) from None
+    parts = [header, U32.pack(len(msg.tensors))]
     parts.extend(encode_tensor(t) for t in msg.tensors)
     return b"".join(parts)
 

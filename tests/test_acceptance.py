@@ -18,7 +18,6 @@ from fedbiwgan.data import (
     fit_normalizer,
     make_windows,
     synth_dataset,
-    windows_matrix,
 )
 from fedbiwgan.detection import (
     ConfusionCounts,
@@ -275,7 +274,7 @@ def test_variant_ordering_over_seeds(report):
     f1s = {v: [] for v in ALL_VARIANTS}
     for seed in range(5):
         series = synth_dataset(SynthSpec(length=700, seed=100 + seed))
-        wins = windows_matrix(make_windows(series, mc.window, 1))
+        wins = make_windows(series, mc.window, 1)
         a, b = int(wins.shape[0] * 0.6), int(wins.shape[0] * 0.8)
         norm = fit_normalizer(wins[:a])
         tr, va, te = norm.apply(wins[:a]), norm.apply(wins[a:b]), norm.apply(wins[b:])

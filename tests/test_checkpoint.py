@@ -97,3 +97,22 @@ def test_model_bundle_missing_builder(tmp_path):
     save_models(path, CFG, {"critic": CriticModel(CFG, np.random.default_rng(0))})
     with pytest.raises(CheckpointError):
         load_models(path, {})
+
+
+@pytest.mark.parametrize("meta", [
+    {},
+    {"models": ["critic"]},
+    {"model_config": [], "models": []},
+    {"model_config": {}, "models": []},
+    {"model_config": {**CFG.to_dict(), "features": "x"}, "models": []},
+    {"model_config": {**CFG.to_dict(), "gen_hidden": 5}, "models": []},
+    {"model_config": {**CFG.to_dict(), "window": 0}, "models": []},
+    {"model_config": {**CFG.to_dict(), "head_mode": "tanh"}, "models": []},
+    {"model_config": {**CFG.to_dict(), "extra": 1}, "models": []},
+    {"model_config": CFG.to_dict(), "models": "critic"},
+])
+def test_model_bundle_bad_metadata_raises_checkpoint_error(tmp_path, meta):
+    path = tmp_path / "m.ckpt"
+    save_container(path, meta, {})
+    with pytest.raises(CheckpointError):
+        load_models(path, BUILDERS)

@@ -1,27 +1,26 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
+from fedbiwgan.config import resolve_experiment
 from fedbiwgan.data import (
     DataError,
     FAULT_GROUP,
     FAULT_TYPES,
     FEATURE_GROUPS,
     FEATURE_NAMES,
-    InjectionSpec,
-    MetricsRecord,
     Normalizer,
     SynthSpec,
-    WindowedSample,
     fit_normalizer,
-    inject_anomalies,
-    inject_fault_mix,
+    inject_faults,
     load_dataset,
     make_windows,
-    records_to_matrix,
     split_windows,
     synth_dataset,
-    windows_matrix,
+    window_labels,
 )
+from fedbiwgan.experiment import build_node_data
 
 
 def _write_csv(path, rows, header=None):
@@ -39,18 +38,18 @@ def _write_csv(path, rows, header=None):
 def test_load_empty_file(tmp_path):
     p = tmp_path / "empty.csv"
     _write_csv(p, [])
-    assert load_dataset(p) == []
+    values, labels = load_dataset(p)
+    assert values.shape == (0, 26) and values.dtype == np.float64
+    assert labels is None
 
 
 def test_load_three_rows_in_order(tmp_path):
     p = tmp_path / "three.csv"
     rows = [[i] + [float(i * 100 + j) for j in range(26)] for i in range(3)]
     _write_csv(p, rows)
-    records = load_dataset(p, timestamp_column="timestamp")
-    assert len(records) == 3
-    assert [r.timestamp for r in records] == [0.0, 1.0, 2.0]
-    np.testing.assert_array_equal(records[1].features,
-                                  np.array([100.0 + j for j in range(26)]))
+    values, _ = load_dataset(p)
+    assert values.shape == (3, 26)
+    np.testing.assert_array_equal(values, np.array(rows, dtype=np.float64)[:, 1:])
 
 
 def test_load_missing_header(tmp_path):
@@ -70,21 +69,40 @@ def test_load_missing_column(tmp_path):
 def test_load_column_mapping_and_labels(tmp_path):
     p = tmp_path / "mapped.csv"
     header = ["weird_idle"] + FEATURE_NAMES[1:] + ["anomaly"]
-    rows = [[5.0] + [0.0] * 25 + [1], [6.0] + [0.0] * 25 + [0]]
+    rows = [[5.0] + [0.0] * 25 + [1], [6.0] + [0.0] * 25 + [0], [7.0] + [0.0] * 25 + [""]]
     _write_csv(p, rows, header)
-    records = load_dataset(p, column_mapping={"cpu_idle_pct": "weird_idle"},
-                           label_column="anomaly")
-    assert [r.label for r in records] == [1, 0]
-    assert records[0].features[0] == 5.0
+    values, labels = load_dataset(p, column_mapping={"cpu_idle_pct": "weird_idle"},
+                                  label_column="anomaly")
+    assert labels.tolist() == [1, 0, -1]
+    assert values[0, 0] == 5.0
+
+
+@pytest.mark.parametrize("bad_row", [
+    [0.0] * 25 + ["inf", 0],
+    [0.0] * 25 + ["-inf", 0],
+    [0.0] * 25 + ["x1", 0],
+    [0.0] * 26 + ["yes"],
+    [0.0] * 26 + ["nan"],
+])
+def test_load_unparseable_cell_skips_row_or_names_line(tmp_path, bad_row):
+    p = tmp_path / "bad.csv"
+    rows = [[1.0] * 26 + [0], bad_row, [2.0] * 26 + [1]]
+    _write_csv(p, rows, FEATURE_NAMES + ["anomaly"])
+    values, labels = load_dataset(p, label_column="anomaly")
+    assert np.isfinite(values).all()
+    np.testing.assert_array_equal(values[:, 0], [1.0, 2.0])
+    assert labels.tolist() == [0, 1]
+    with pytest.raises(DataError, match=r"bad\.csv:3: unparseable"):
+        load_dataset(p, label_column="anomaly", strict=True)
 
 
 def test_gap_interpolation_short_gap(tmp_path):
     p = tmp_path / "gap.csv"
     rows = [[0] + [1.0] * 26, [1] + [""] * 26, [2] + [3.0] * 26]
     _write_csv(p, rows)
-    records = load_dataset(p)
-    assert len(records) == 3
-    np.testing.assert_allclose(records[1].features, np.full(26, 2.0))
+    values, _ = load_dataset(p)
+    assert values.shape == (3, 26)
+    np.testing.assert_allclose(values[1], np.full(26, 2.0))
 
 
 def test_gap_too_long_drops_rows(tmp_path):
@@ -93,19 +111,8 @@ def test_gap_too_long_drops_rows(tmp_path):
     rows += [[i] + [""] * 26 for i in range(1, 4)]
     rows += [[4] + [5.0] * 26]
     _write_csv(p, rows)
-    records = load_dataset(p, max_gap=2)
-    assert len(records) == 2
-
-
-def test_metrics_record_arity():
-    with pytest.raises(DataError):
-        MetricsRecord(timestamp=0.0, features=np.zeros(25))
-
-
-def test_records_to_matrix():
-    recs = [MetricsRecord(0.0, np.full(26, i)) for i in range(4)]
-    assert records_to_matrix(recs).shape == (4, 26)
-    assert records_to_matrix([]).shape == (0, 26)
+    values, _ = load_dataset(p, max_gap=2)
+    assert values.shape == (2, 26)
 
 
 # ---------------------------------------------------------------------------
@@ -152,31 +159,80 @@ def test_window_count_arithmetic():
 def test_window_longer_than_series():
     with pytest.raises(DataError):
         make_windows(np.zeros((5, 26)), 8)
+    for stride in (0, -1):
+        with pytest.raises(DataError, match="data.stride"):
+            make_windows(np.zeros((5, 26)), 2, stride)
+    for stride in (0, -1):
+        exp = resolve_experiment({"data": {"source": "synth", "length": 50, "stride": stride}})
+        with pytest.raises(DataError, match="data.stride"):
+            build_node_data(exp)
 
 
 def test_window_label_any_abnormal():
-    values = np.zeros((5, 26))
-    labels = [0, 0, 1, 0, 0]
-    wins = make_windows(values, 2, 1, labels=labels)
-    assert [w.label for w in wins] == [0, 1, 1, 0]
+    labels = np.array([0, 0, 1, 0, -1])
+    assert window_labels(labels, 2, 1).tolist() == [0, 1, 1, 0]
+    assert window_labels(labels, 2, 2).tolist() == [0, 1]
+
+
+def _loop_windows(values, t, stride):
+    """Reference: one explicit slice per window start."""
+    starts = range(0, values.shape[0] - t + 1, stride)
+    return np.stack([values[i:i + t] for i in starts])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 40), t=st.integers(1, 40), stride=st.integers(1, 7),
+       features=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_make_windows_matches_loop_reference(rows, t, stride, features, seed):
+    values = np.random.default_rng(seed).standard_normal((rows, features))
+    if t > rows:
+        with pytest.raises(DataError):
+            make_windows(values, t, stride)
+        return
+    out = make_windows(values, t, stride)
+    ref = _loop_windows(values, t, stride)
+    assert out.shape == ref.shape == (len(range(0, rows - t + 1, stride)), t, features)
+    assert out.dtype == np.float64 and out.flags["C_CONTIGUOUS"]
+    assert out.tobytes() == ref.tobytes()
+    labels = np.random.default_rng(seed + 1).integers(-1, 2, rows)
+    ref_labels = [int(any(l == 1 for l in labels[i:i + t]))
+                  for i in range(0, rows - t + 1, stride)]
+    assert window_labels(labels, t, stride).tolist() == ref_labels
 
 
 def test_split_ratios():
-    wins = make_windows(np.zeros((103, 26)), 4, 1)  # 100 windows
-    splits = split_windows(wins)
+    values = np.arange(103, dtype=np.float64)[:, None] * np.ones(26)
+    splits = split_windows(make_windows(values, 4, 1))  # 100 windows
     assert (len(splits["train"]), len(splits["val"]), len(splits["test"])) == (60, 20, 20)
-    # chronological: no window index crosses a boundary
-    assert splits["train"][-1].index < splits["val"][0].index < splits["test"][0].index
+    # chronological: no window start crosses a boundary
+    assert splits["train"][-1, 0, 0] < splits["val"][0, 0, 0] < splits["test"][0, 0, 0]
 
 
 def test_split_bad_ratios():
-    with pytest.raises(DataError):
-        split_windows([], ratios=(0.5, 0.2, 0.2))
+    for ratios in ((0.5, 0.2, 0.2), (0.5, 0.5), (1.2, -0.2, 0.0)):
+        with pytest.raises(DataError, match="data.ratios"):
+            split_windows(np.zeros((0, 4, 26)), ratios=ratios)
+    exp = resolve_experiment({"data": {"source": "synth", "length": 50,
+                                       "ratios": [0.5, 0.5]}})
+    with pytest.raises(DataError, match="data.ratios"):
+        build_node_data(exp)
 
 
-def test_windows_matrix_shape():
+def test_make_windows_shape():
     wins = make_windows(np.zeros((10, 26)), 4, 2)
-    assert windows_matrix(wins).shape == (4, 4, 26)
+    assert wins.shape == (4, 4, 26)
+
+
+def test_empty_split_keeps_window_shape():
+    exp = resolve_experiment({"model": {"window": 5},
+                              "data": {"source": "synth", "length": 60,
+                                       "ratios": [0.9, 0.1, 0.0]}})
+    nd = build_node_data(exp)[(0, 0)]
+    assert nd.test.shape == (0, 5, 26)
+    for split in (nd.train, nd.val, nd.test):
+        assert split.dtype == np.float64 and split.flags["C_CONTIGUOUS"]
+    x, labels, faults = inject_faults(nd.test, 0.1)
+    assert x.shape == (0, 5, 26) and labels.shape == faults.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -184,48 +240,75 @@ def test_windows_matrix_shape():
 
 
 def _normal_windows(n, seed=0):
-    rng = np.random.default_rng(seed)
-    return [WindowedSample(window=rng.random((8, 26)), label=0, index=i)
-            for i in range(n)]
+    return np.random.default_rng(seed).random((n, 8, 26))
 
 
 def test_injection_spec_validation():
-    with pytest.raises(DataError):
-        InjectionSpec("thermal_runaway", 0.1)
-    with pytest.raises(DataError):
-        InjectionSpec("memory_leak", 0.0)
+    wins = _normal_windows(10)
+    with pytest.raises(DataError, match="unknown fault"):
+        inject_faults(wins, 0.1, faults=("thermal_runaway",))
+    for rate in (1.5, -0.1):
+        with pytest.raises(DataError, match="injection.rate"):
+            inject_faults(wins, rate)
 
 
 def test_injection_seeded_count():
     wins = _normal_windows(100)
-    out = inject_anomalies(wins, InjectionSpec("cpu_endless_loop", 0.1, seed=3))
-    assert sum(s.label for s in out) == 10
-    out2 = inject_anomalies(wins, InjectionSpec("cpu_endless_loop", 0.1, seed=3))
-    assert [s.label for s in out] == [s.label for s in out2]
+    _, labels, _ = inject_faults(wins, 0.1, seed=3, faults=("cpu_endless_loop",))
+    assert labels.sum() == 10
+    _, labels2, _ = inject_faults(wins, 0.1, seed=3, faults=("cpu_endless_loop",))
+    assert labels.tolist() == labels2.tolist()
 
 
 def test_injection_touches_only_fault_group():
     wins = _normal_windows(50, seed=1)
     for fault in FAULT_TYPES:
-        out = inject_anomalies(wins, InjectionSpec(fault, 0.2, seed=5))
+        out, labels, _ = inject_faults(wins, 0.2, seed=5, faults=(fault,))
         group = FEATURE_GROUPS[FAULT_GROUP[fault]]
-        for before, after in zip(wins, out):
-            if after.label == 0:
-                np.testing.assert_array_equal(before.window, after.window)
+        for before, after, label in zip(wins, out, labels):
+            if label == 0:
+                np.testing.assert_array_equal(before, after)
                 continue
             untouched = np.ones(26, dtype=bool)
             untouched[group] = False
-            np.testing.assert_array_equal(before.window[:, untouched],
-                                          after.window[:, untouched])
-            assert np.any(before.window[:, group] != after.window[:, group])
+            np.testing.assert_array_equal(before[:, untouched], after[:, untouched])
+            assert np.any(before[:, group] != after[:, group])
 
 
 def test_fault_mix_covers_all_types_disjointly():
     wins = _normal_windows(200)
-    out = inject_fault_mix(wins, rate=0.2, seed=0)
-    injected = [s for s in out if s.label == 1]
-    assert len(injected) == 40
-    assert {s.fault for s in injected} == set(FAULT_TYPES)
+    _, labels, faults = inject_faults(wins, rate=0.2, seed=0)
+    assert labels.sum() == 40
+    assert set(faults[labels == 1]) == set(FAULT_TYPES)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 60), rate=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       faults=st.lists(st.sampled_from(FAULT_TYPES), min_size=1, max_size=4, unique=True))
+def test_inject_faults_invariants(n, rate, seed, faults):
+    wins = np.random.default_rng(seed).random((n, 4, 26))
+    before = wins.copy()
+    x, labels, names = inject_faults(wins, rate, magnitude=2.5, seed=seed, faults=faults)
+    assert wins.tobytes() == before.tobytes()  # the input is not modified
+    assert x.shape == wins.shape and x.dtype == np.float64 and x.flags["C_CONTIGUOUS"]
+    count = int(round(rate * n))
+    assert labels.sum() == count
+    injected = np.flatnonzero(labels)
+    untouched = labels == 0
+    assert x[untouched].tobytes() == wins[untouched].tobytes()
+    assert all(name is None for name in names[untouched])
+    # types are disjoint and cycled over the seeded draw order: a choice of
+    # `count` distinct windows, shuffled; the i-th gets faults[i % len(faults)]
+    rng = np.random.default_rng(seed)
+    order = rng.choice(n, size=count, replace=False)
+    rng.shuffle(order)
+    assert [names[i] for i in order] == [faults[i % len(faults)] for i in range(count)]
+    for i in injected:
+        group = FEATURE_GROUPS[FAULT_GROUP[names[i]]]
+        outside = np.ones(26, dtype=bool)
+        outside[group] = False
+        assert x[i][:, outside].tobytes() == wins[i][:, outside].tobytes()
+        assert np.any(x[i][:, group] != wins[i][:, group])
 
 
 # ---------------------------------------------------------------------------

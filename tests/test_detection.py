@@ -7,7 +7,6 @@ import pytest
 from fedbiwgan import autodiff as ad
 from fedbiwgan.detection import (
     ConfusionCounts,
-    DetectionConfig,
     DetectionError,
     ScoredSample,
     calibrate_threshold,
@@ -47,11 +46,6 @@ class _FixedCritic:
 def _models(seed=0):
     rng = np.random.default_rng(seed)
     return GeneratorModel(CFG, rng), EncoderModel(CFG, rng), CriticModel(CFG, rng)
-
-
-def test_config_gamma_bounds():
-    with pytest.raises(DetectionError):
-        DetectionConfig(gamma=1.5)
 
 
 def test_score_gamma_one_perfect_reconstruction():

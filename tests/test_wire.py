@@ -63,3 +63,16 @@ def test_overhead_accounts_header_and_shapes():
 def test_empty_tensor_list():
     out = decode_message(encode_message(Message(MSG_FEEDBACK, 0, 0, 0, [])))
     assert out.tensors == []
+
+
+@pytest.mark.parametrize("header", [
+    (MSG_FEEDBACK, 0, 0, -1),
+    (MSG_FEEDBACK, 0, 0, 2**32),
+    (-1, 0, 0, 0),
+    (MSG_FEEDBACK, 2**31, 0, 0),
+    (MSG_FEEDBACK, 0, -2**31 - 1, 0),
+    (MSG_FEEDBACK, 0, 0, 1.5),
+])
+def test_header_out_of_range_raises_wire_error(header):
+    with pytest.raises(WireError, match="header"):
+        encode_message(Message(*header, [np.zeros(1)]))
