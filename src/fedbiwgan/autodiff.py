@@ -1,15 +1,34 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Every value is a `Tensor` wrapping a row-major numpy array. Operations
-record their parents and a backward closure; the closures themselves are
-written in terms of Tensor operations, so calling `grad` on the result of
-a previous `grad` call yields correct second derivatives (needed for the
-Lipschitz gradient penalty).
+Every value is a `Tensor` wrapping a row-major numpy array. Operations on
+tensors that require grad record their parents and a backward closure;
+the closures themselves are written in terms of Tensor operations, so a
+backward pass run with `grad(..., create_graph=True)` is itself recorded
+and can be differentiated again (needed for the Lipschitz gradient
+penalty). Every other backward pass, and any code run under
+`no_record()`, records nothing.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
+
 import numpy as np
+
+_record = True
+
+
+@contextmanager
+def no_record():
+    """Build no graph inside the block: new tensors keep no parents and
+    no backward closure, and only leaves created with requires_grad=True
+    require grad."""
+    global _record
+    previous, _record = _record, False
+    try:
+        yield
+    finally:
+        _record = previous
 
 
 class Tensor:
@@ -19,9 +38,12 @@ class Tensor:
 
     def __init__(self, data, parents=(), bwd=None, requires_grad=False):
         self.data = data
-        self.parents = parents
-        self.bwd = bwd
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        if _record and any(p.requires_grad for p in parents):
+            self.parents, self.bwd, self.requires_grad = parents, bwd, True
+        else:
+            # not recording, or nothing upstream to differentiate: a
+            # backward pass would never walk this edge
+            self.parents, self.bwd, self.requires_grad = (), None, requires_grad
 
     @property
     def shape(self):
@@ -136,7 +158,8 @@ def reciprocal(a):
     def bwd(g):
         return (neg(mul(g, mul(out, out))),)
 
-    out.bwd = bwd
+    if out.requires_grad:
+        out.bwd = bwd
     return out
 
 
@@ -164,7 +187,8 @@ def tanh(a):
     def bwd(g):
         return (mul(g, sub(constant(1.0), mul(out, out))),)
 
-    out.bwd = bwd
+    if out.requires_grad:
+        out.bwd = bwd
     return out
 
 
@@ -174,7 +198,8 @@ def sigmoid(a):
     def bwd(g):
         return (mul(g, mul(out, sub(constant(1.0), out))),)
 
-    out.bwd = bwd
+    if out.requires_grad:
+        out.bwd = bwd
     return out
 
 
@@ -184,7 +209,8 @@ def exp(a):
     def bwd(g):
         return (mul(g, out),)
 
-    out.bwd = bwd
+    if out.requires_grad:
+        out.bwd = bwd
     return out
 
 
@@ -286,7 +312,8 @@ def sqrt_guard(a):
     def bwd(g):
         return (mul(g, mul(constant(0.5), reciprocal(add(out, mask)))),)
 
-    out.bwd = bwd
+    if out.requires_grad:
+        out.bwd = bwd
     return out
 
 
@@ -299,16 +326,22 @@ def l2_norm_rows(a):
 # reverse pass
 
 
-def grad(out, wrt, out_grad=None):
+def grad(out, wrt, out_grad=None, create_graph=False):
     """Gradients of `out` w.r.t. each tensor in `wrt`.
 
-    The returned tensors stay connected to the graph, so they can be used
-    to build further differentiable expressions (double backprop). Tensors
-    in `wrt` must have requires_grad set.
+    Tensors in `wrt` must have requires_grad set, and so must `out`. With
+    create_graph=True the backward pass is recorded, so the returned
+    tensors stay connected to the graph and can be differentiated again
+    (double backprop); otherwise they are constants.
     """
     for leaf in wrt:
         if not leaf.requires_grad:
             raise ValueError("grad target does not require grad")
+    if not out.requires_grad:
+        raise ValueError(
+            "grad output does not require grad; to differentiate a gradient, "
+            "compute that gradient with grad(..., create_graph=True)"
+        )
     if out_grad is None:
         out_grad = ones(out.data.shape)
     elif not isinstance(out_grad, Tensor):
@@ -332,21 +365,24 @@ def grad(out, wrt, out_grad=None):
         for p in node.parents:
             stack.append((p, False))
 
-    grads = {id(out): out_grad}
-    for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        if g is None or node.bwd is None:
-            if node.bwd is None:
-                grads[id(node)] = g  # keep leaf gradients for lookup below
-            continue
-        for parent, pg in zip(node.parents, node.bwd(g)):
-            if pg is None or not parent.requires_grad:
+    # the backward closures are Tensor code: recording them is what makes
+    # the returned gradients differentiable
+    with nullcontext() if create_graph else no_record():
+        grads = {id(out): out_grad}
+        for node in reversed(topo):
+            g = grads.pop(id(node), None)
+            if g is None or node.bwd is None:
+                if node.bwd is None:
+                    grads[id(node)] = g  # keep leaf gradients for lookup below
                 continue
-            prev = grads.get(id(parent))
-            grads[id(parent)] = pg if prev is None else add(prev, pg)
+            for parent, pg in zip(node.parents, node.bwd(g)):
+                if pg is None or not parent.requires_grad:
+                    continue
+                prev = grads.get(id(parent))
+                grads[id(parent)] = pg if prev is None else add(prev, pg)
 
-    result = []
-    for leaf in wrt:
-        g = grads.get(id(leaf))
-        result.append(zeros(leaf.data.shape) if g is None else g)
-    return result
+        result = []
+        for leaf in wrt:
+            g = grads.get(id(leaf))
+            result.append(zeros(leaf.data.shape) if g is None else g)
+        return result

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import yaml
 
+from .data import SynthSpec, check_rate, check_ratios, check_stride
 from .federation import TopologySpec, TrainingConfig
 from .models import ModelConfig
 from .nn import AdamConfig
@@ -81,6 +82,38 @@ def _section(cfg, name, default=None):
     return value
 
 
+def _coerced(cfg, name, casts):
+    """Section `name` with each field in `casts` converted by its cast."""
+    out = dict(_section(cfg, name))
+    for key, cast in casts.items():
+        if key in out:
+            try:
+                out[key] = cast(out[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{name}.{key}: {exc}")
+    return out
+
+
+def _data_section(cfg):
+    data = _coerced(cfg, "data", {
+        "stride": int, "length": int, "noise": float,
+        "ratios": lambda v: tuple(float(r) for r in v),
+    })
+    if "stride" in data:
+        check_stride(data["stride"])
+    if "ratios" in data:
+        check_ratios(data["ratios"])
+    SynthSpec(**{k: data[k] for k in ("length", "noise") if k in data})
+    return data
+
+
+def _injection_section(cfg):
+    injection = _coerced(cfg, "injection", {"rate": float, "magnitude": float, "seed": int})
+    if "rate" in injection:
+        check_rate(injection["rate"])
+    return injection
+
+
 def resolve_experiment(cfg: dict) -> Experiment:
     try:
         topo_cfg = _section(cfg, "topology")
@@ -125,8 +158,8 @@ def resolve_experiment(cfg: dict) -> Experiment:
             training=training,
             model=model,
             gamma=gamma,
-            data=_section(cfg, "data"),
-            injection=_section(cfg, "injection"),
+            data=_data_section(cfg),
+            injection=_injection_section(cfg),
             hash=config_hash(cfg),
         )
     except ConfigError:

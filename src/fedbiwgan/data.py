@@ -180,12 +180,28 @@ def fit_normalizer(train_values) -> Normalizer:
 # windowing and splits
 
 
+def check_stride(stride):
+    if stride < 1:
+        raise DataError(f"data.stride must be >= 1, got {stride}")
+
+
+def check_ratios(ratios):
+    if len(ratios) != 3 or min(ratios) < 0 or abs(sum(ratios) - 1.0) > 1e-9:
+        raise DataError(
+            f"data.ratios must be three non-negative fractions summing to 1, got {list(ratios)}"
+        )
+
+
+def check_rate(rate):
+    if not 0.0 <= rate <= 1.0:
+        raise DataError(f"injection.rate must lie in [0, 1], got {rate}")
+
+
 def _window_view(values, t, stride):
     """Read-only [n, ..., t] view of every stride-th length-t window."""
     if t < 1:
         raise DataError(f"window length must be >= 1, got {t}")
-    if stride < 1:
-        raise DataError(f"data.stride must be >= 1, got {stride}")
+    check_stride(stride)
     if t > values.shape[0]:
         raise DataError(f"window length {t} exceeds record count {values.shape[0]}")
     return sliding_window_view(values, t, axis=0)[::stride]
@@ -206,10 +222,7 @@ def window_labels(labels, t, stride=1):
 
 def split_windows(windows, ratios=(0.6, 0.2, 0.2)):
     """Chronological train/val/test split; no shuffling across time."""
-    if len(ratios) != 3 or min(ratios) < 0 or abs(sum(ratios) - 1.0) > 1e-9:
-        raise DataError(
-            f"data.ratios must be three non-negative fractions summing to 1, got {list(ratios)}"
-        )
+    check_ratios(ratios)
     n = len(windows)
     n_train = int(round(ratios[0] * n))
     n_val = int(round(ratios[1] * n))
@@ -259,8 +272,7 @@ def inject_faults(windows, rate, magnitude=2.5, seed=0, faults=FAULT_TYPES):
     perturbed (all others bitwise untouched), an [n] int array that is 1
     on injected windows, and an [n] object array of fault names (None on
     untouched windows)."""
-    if not 0.0 <= rate <= 1.0:
-        raise DataError(f"injection.rate must lie in [0, 1], got {rate}")
+    check_rate(rate)
     if not faults or not set(faults) <= set(FAULT_TYPES):
         raise DataError(f"unknown fault types {list(faults)}; valid types are {list(FAULT_TYPES)}")
     x = np.array(windows, dtype=np.float64)
@@ -292,6 +304,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.length < 1:
             raise DataError("length must be >= 1")
+        if not self.noise >= 0:
+            raise DataError(f"noise must be >= 0, got {self.noise}")
 
 
 def synth_dataset(spec: SynthSpec) -> np.ndarray:

@@ -55,11 +55,12 @@ def score_windows(windows, g: GeneratorModel, e: EncoderModel, d: CriticModel,
     n = x.shape[0]
     if n == 0:
         return []
-    latent = e(ad.tensor(x)).data
-    recon = g(ad.tensor(latent)).data
+    with ad.no_record():
+        latent = e(ad.tensor(x)).data
+        recon = g(ad.tensor(latent)).data
+        flat = np.concatenate([x.reshape(n, -1), latent], axis=1)
+        raw = d.raw_output(ad.tensor(flat)).data[:, 0]
     l_rec = np.abs(x - recon).reshape(n, -1).sum(axis=1)
-    flat = np.concatenate([x.reshape(n, -1), latent], axis=1)
-    raw = d.raw_output(ad.tensor(flat)).data[:, 0]
     # cross-entropy against target 1: -log sigmoid(raw)
     l_disc = np.logaddexp(0.0, -raw)
     scores = gamma * l_rec + (1 - gamma) * l_disc

@@ -43,6 +43,15 @@ class ProtocolError(RuntimeError):
     pass
 
 
+class NonFiniteError(ProtocolError):
+    """A NaN or infinity reached a node boundary during training."""
+
+
+def _require_finite(arrays, what, iteration, node):
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise NonFiniteError(f"non-finite {what} at iteration {iteration} on {node}")
+
+
 @dataclass
 class TopologySpec:
     slices: int
@@ -102,6 +111,8 @@ class FeedbackPacket:
     def __post_init__(self):
         if self.encoder_feedback.shape != self.generator_feedback.shape:
             raise ProtocolError("feedback tensors must share shape")
+        _require_finite([self.encoder_feedback, self.generator_feedback], "error feedback",
+                        self.iteration, f"monitor[{self.slice_id}.{self.monitor_id}]")
 
 
 @dataclass
@@ -181,7 +192,7 @@ class ManagerNode:
         self.gen_adam = AdamState.for_params(self.generator.params())
         self.enc_adam = AdamState.for_params(self.encoder.params())
         self.noise_spec = NoiseSpec(cfg.noise, model_cfg.latent_dim)
-        self._tapes = {}
+        self._tapes = None  # (latent, fake, monitor -> row slice)
 
 
 def monitor_round(monitor: MonitorNode, x_batch, packet: GenPacket, critic_iters, eta):
@@ -200,6 +211,9 @@ def monitor_round(monitor: MonitorNode, x_batch, packet: GenPacket, critic_iters
         last = critic_loss(monitor.critic, real, fake, eps, eta)
         adam_step(monitor.critic.params(), last.param_grads, monitor.adam_state,
                   monitor.cfg.adam)
+        _require_finite([p.data for p in monitor.critic.params().values()],
+                        "critic parameters", packet.iteration,
+                        f"monitor[{monitor.slice_id}.{monitor.monitor_id}]")
     eg = eg_local_loss(monitor.critic, real, fake)
     f_e, f_g = error_feedbacks(monitor.critic, real, fake)
     feedback = FeedbackPacket(
@@ -213,39 +227,55 @@ def monitor_round(monitor: MonitorNode, x_batch, packet: GenPacket, critic_iters
 
 
 def manager_generate(manager: ManagerNode, batches: dict, iteration) -> dict:
-    """Encode each monitor's batch, sample its noise stream, generate fake
-    windows; keeps the forward tapes for the later chain-rule update."""
+    """Encode the monitors' batches and generate fake windows from their
+    noise streams, stacked in ascending monitor order into one encoder and
+    one generator pass; keeps the two forward tapes and each monitor's row
+    range for the later chain-rule update."""
     if not batches:
         raise ProtocolError("no monitor batches received")
-    manager._tapes = {}
-    packets = {}
-    for monitor_id in sorted(batches):
+    manager._tapes = None
+    ids = sorted(batches)
+    xs, zs, rows, start = [], [], {}, 0
+    for monitor_id in ids:
         x = np.asarray(batches[monitor_id], dtype=np.float64)
         if x.size == 0:
             raise ProtocolError(f"monitor {monitor_id} sent an empty batch")
-        x_t = ad.tensor(x)
-        f_t = manager.encoder(x_t)
+        if xs and x.shape[1:] != xs[0].shape[1:]:
+            raise ProtocolError(
+                f"monitor {monitor_id} batch shape {x.shape} differs from "
+                f"monitor {ids[0]}'s {xs[0].shape}"
+            )
         rng = _seeded_rng(manager.seed, _SEED_NOISE, manager.slice_id, iteration, monitor_id)
-        z = manager.noise_spec.sample(rng, x.shape[0])
-        z_t = ad.tensor(z)
-        xbar_t = manager.generator(z_t)
-        manager._tapes[monitor_id] = (f_t, xbar_t)
-        packets[monitor_id] = GenPacket(
+        xs.append(x)
+        zs.append(manager.noise_spec.sample(rng, x.shape[0]))
+        rows[monitor_id] = slice(start, start + x.shape[0])
+        start += x.shape[0]
+    f_t = manager.encoder(ad.tensor(np.concatenate(xs)))
+    xbar_t = manager.generator(ad.tensor(np.concatenate(zs)))
+    manager._tapes = (f_t, xbar_t, rows)
+    return {
+        monitor_id: GenPacket(
             slice_id=manager.slice_id,
             monitor_id=monitor_id,
             iteration=iteration,
-            latent_real=f_t.data,
+            latent_real=f_t.data[rows[monitor_id]],
             noise=z,
-            fake_data=xbar_t.data,
+            fake_data=xbar_t.data[rows[monitor_id]],
         )
-    return packets
+        for monitor_id, z in zip(ids, zs)
+    }
 
 
 def assemble_manager_gradients(manager: ManagerNode, feedbacks: list[FeedbackPacket],
                                iteration):
     """Chain-rule the error feedbacks through the generation tapes into
-    parameter gradients of the mean local EG loss over monitors."""
-    expected = set(manager._tapes)
+    parameter gradients of the mean local EG loss over monitors: the
+    monitors' cotangents are stacked in the tapes' row order, so each
+    model takes one backward pass."""
+    if manager._tapes is None:
+        raise ProtocolError("no generation tapes: manager_generate has not run")
+    f_t, xbar_t, rows = manager._tapes
+    cfg = manager.model_cfg
     seen = {}
     for fb in feedbacks:
         if fb.iteration != iteration:
@@ -255,34 +285,32 @@ def assemble_manager_gradients(manager: ManagerNode, feedbacks: list[FeedbackPac
             )
         if fb.monitor_id in seen:
             raise ProtocolError(f"duplicate feedback from monitor {fb.monitor_id}")
-        if fb.monitor_id not in expected:
+        if fb.monitor_id not in rows:
             raise ProtocolError(f"feedback from unknown monitor {fb.monitor_id}")
+        expected = (rows[fb.monitor_id].stop - rows[fb.monitor_id].start, cfg.pair_dim)
+        if fb.encoder_feedback.shape != expected:
+            raise ProtocolError(
+                f"feedback from monitor {fb.monitor_id} has shape "
+                f"{fb.encoder_feedback.shape}, expected {expected}"
+            )
         seen[fb.monitor_id] = fb
-    missing = expected - set(seen)
+    missing = set(rows) - set(seen)
     if missing:
         raise ProtocolError(f"missing feedback from monitors {sorted(missing)}")
 
     n = len(seen)
-    cfg = manager.model_cfg
     data_len = cfg.window * cfg.features
-    g_params = manager.generator.params()
-    e_params = manager.encoder.params()
-    g_names, e_names = list(g_params), list(e_params)
-    g_acc = {k: np.zeros_like(g_params[k].data) for k in g_names}
-    e_acc = {k: np.zeros_like(e_params[k].data) for k in e_names}
-    for monitor_id in sorted(seen):
-        fb = seen[monitor_id]
-        f_t, xbar_t = manager._tapes[monitor_id]
-        m = fb.encoder_feedback.shape[0]
-        # only the latent part of F_E reaches theta_E (the data part is the
-        # raw input), and only the data part of F_G reaches theta_G
-        cot_f = fb.encoder_feedback[:, data_len:] / n
-        cot_x = fb.generator_feedback[:, :data_len].reshape(m, cfg.window, cfg.features) / n
-        for k, g in zip(e_names, ad.grad(f_t, [e_params[k] for k in e_names], out_grad=cot_f)):
-            e_acc[k] += g.data
-        for k, g in zip(g_names, ad.grad(xbar_t, [g_params[k] for k in g_names], out_grad=cot_x)):
-            g_acc[k] += g.data
-    return g_acc, e_acc
+    # only the latent part of F_E reaches theta_E (the data part is the raw
+    # input), and only the data part of F_G reaches theta_G
+    cot_f = np.concatenate([seen[k].encoder_feedback[:, data_len:] / n for k in rows])
+    cot_x = np.concatenate([seen[k].generator_feedback[:, :data_len] / n for k in rows])
+
+    def backward(model, out, cot):
+        params = model.params()
+        grads = ad.grad(out, list(params.values()), out_grad=cot.reshape(out.data.shape))
+        return {k: g.data for k, g in zip(params, grads)}
+
+    return backward(manager.generator, xbar_t, cot_x), backward(manager.encoder, f_t, cot_f)
 
 
 def manager_update(manager: ManagerNode, feedbacks: list[FeedbackPacket], iteration):
@@ -291,7 +319,7 @@ def manager_update(manager: ManagerNode, feedbacks: list[FeedbackPacket], iterat
     g_grads, e_grads = assemble_manager_gradients(manager, feedbacks, iteration)
     adam_step(manager.generator.params(), g_grads, manager.gen_adam, manager.cfg.adam)
     adam_step(manager.encoder.params(), e_grads, manager.enc_adam, manager.cfg.adam)
-    manager._tapes = {}
+    manager._tapes = None
 
 
 def controller_aggregate(param_sets: list[dict], weights: SliceWeights) -> dict:
@@ -478,6 +506,8 @@ def _federated_average(groups, bus, iteration):
     ]
     global_gen = controller_aggregate([gen for gen, _ in uploads], weights)
     global_enc = controller_aggregate([enc for _, enc in uploads], weights)
+    _require_finite([*global_gen.values(), *global_enc.values()], "global parameters",
+                    iteration, "controller")
     for manager in managers:
         msg = bus.send(
             wire.Message(wire.MSG_PARAMS_DOWN, manager.slice_id, -1, iteration,

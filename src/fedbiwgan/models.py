@@ -217,15 +217,18 @@ class JointPair:
 
 
 def generate(g: GeneratorModel, z) -> np.ndarray:
-    return g(ad.tensor(np.asarray(z, dtype=np.float64))).data
+    with ad.no_record():
+        return g(ad.tensor(np.asarray(z, dtype=np.float64))).data
 
 
 def encode(e: EncoderModel, x) -> np.ndarray:
-    return e(ad.tensor(np.asarray(x, dtype=np.float64))).data
+    with ad.no_record():
+        return e(ad.tensor(np.asarray(x, dtype=np.float64))).data
 
 
 def discriminate(d: CriticModel, pair: JointPair) -> np.ndarray:
-    return d(ad.tensor(pair.flat())).data[:, 0]
+    with ad.no_record():
+        return d(ad.tensor(pair.flat())).data[:, 0]
 
 
 def interpolate(real: JointPair, fake: JointPair, eps) -> JointPair:
@@ -287,7 +290,8 @@ def eg_local_loss(d: CriticModel, real: JointPair, fake: JointPair) -> float:
     """mean over the batch of D(real pair) - D(fake pair)."""
     if real.batch == 0:
         raise ValueError("empty batch")
-    loss, _, _ = _eg_graph(d, real, fake)
+    with ad.no_record():
+        loss, _, _ = _eg_graph(d, real, fake)
     return float(loss.data)
 
 

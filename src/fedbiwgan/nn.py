@@ -181,7 +181,7 @@ def gradient_penalty(critic, x_hat, eta) -> Tensor:
     if eta < 0:
         raise ValueError("penalty coefficient must be non-negative")
     u = ad.tensor(np.asarray(x_hat, dtype=np.float64), requires_grad=True)
-    g_input = ad.grad(ad.tsum(critic(u)), [u])[0]
+    g_input = ad.grad(ad.tsum(critic(u)), [u], create_graph=True)[0]
     gap = ad.sub(ad.l2_norm_rows(g_input), ad.constant(1.0))
     return ad.mul(ad.constant(float(eta)), ad.tmean(ad.mul(gap, gap)))
 

@@ -102,7 +102,7 @@ def test_second_derivative_simple():
     # d2/dx2 of x^3 = 6x
     x = ad.tensor([2.0], requires_grad=True)
     y = ad.mul(ad.mul(x, x), x)
-    g1 = ad.grad(ad.tsum(y), [x])[0]
+    g1 = ad.grad(ad.tsum(y), [x], create_graph=True)[0]
     g2 = ad.grad(ad.tsum(g1), [x])[0]
     np.testing.assert_allclose(g2.data, [12.0])
 
@@ -114,7 +114,7 @@ def test_second_derivative_through_norm():
     x = ad.tensor(x0, requires_grad=True)
     gap = ad.sub(ad.l2_norm_rows(x), ad.constant(1.0))
     f = ad.tsum(ad.mul(gap, gap))
-    g1 = ad.grad(f, [x])[0]
+    g1 = ad.grad(f, [x], create_graph=True)[0]
     g2 = ad.grad(ad.tsum(g1), [x])[0]
 
     h = 1e-6
@@ -128,6 +128,29 @@ def test_second_derivative_through_norm():
         for e in np.eye(2)
     ])
     np.testing.assert_allclose(g2.data[0], num, atol=1e-6)
+
+
+def test_second_derivative_needs_create_graph():
+    x = ad.tensor([2.0], requires_grad=True)
+    g1 = ad.grad(ad.tsum(ad.mul(ad.mul(x, x), x)), [x])[0]
+    with pytest.raises(ValueError, match="create_graph=True"):
+        ad.grad(ad.tsum(g1), [x])
+
+
+def test_first_order_gradient_holds_no_graph():
+    x = ad.tensor([1.0, 2.0], requires_grad=True)
+    g = ad.grad(ad.tsum(ad.tanh(ad.mul(x, x))), [x])[0]
+    assert not g.requires_grad
+    assert g.parents == ()
+
+
+def test_no_record_restores_flag_after_error():
+    x = ad.tensor([1.0], requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with ad.no_record():
+            assert not ad.mul(x, x).requires_grad
+            raise RuntimeError("inside the block")
+    assert ad.mul(x, x).requires_grad
 
 
 def test_grad_requires_flag():

@@ -4,9 +4,11 @@ exit codes, provenance guards, and cost reports, all at toy scale."""
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from fedbiwgan.cli import main
+from fedbiwgan.federation import MonitorNode
 
 TINY_CONFIG = """\
 seed: 3
@@ -118,6 +120,22 @@ def test_detect_without_thresholds_exits_1(trained_run, tmp_path):
     run = tmp_path / "bare"
     assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
     assert main(["detect", "--run", str(run)]) == 1
+
+
+def test_nonfinite_critic_exits_1(tmp_path, capsys, monkeypatch):
+    init = MonitorNode.__init__
+
+    def planted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if (self.slice_id, self.monitor_id) == (1, 1):
+            self.critic.params()["d/layer0/weights"].data[0, 0] = np.nan
+
+    monkeypatch.setattr(MonitorNode, "__init__", planted)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(TINY_CONFIG.replace("slices: 1", "slices: 2"))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite critic parameters at iteration 1 on monitor[1.1]" in err
 
 
 def test_calibrate_without_anomalies_exits_1(tmp_path, capsys):

@@ -57,6 +57,14 @@ def test_resolve_rejects_bad_values():
         resolve_experiment({"detection": {"gamma": 1.2}})
     with pytest.raises(ConfigError):
         resolve_experiment({"topology": "flat"})
+    for section, field, value in [
+        ("data", "stride", 0), ("data", "stride", "two"), ("data", "ratios", [0.5, 0.5]),
+        ("data", "ratios", 3), ("data", "length", 0), ("data", "noise", -0.1),
+        ("injection", "rate", "high"), ("injection", "rate", 1.5),
+        ("injection", "magnitude", "big"), ("injection", "seed", None),
+    ]:
+        with pytest.raises(ConfigError, match=field):
+            resolve_experiment({section: {field: value}})
 
 
 def test_load_experiment(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from fedbiwgan.config import resolve_experiment
+from fedbiwgan.config import ConfigError, resolve_experiment
 from fedbiwgan.data import (
     DataError,
     FAULT_GROUP,
@@ -162,10 +162,10 @@ def test_window_longer_than_series():
     for stride in (0, -1):
         with pytest.raises(DataError, match="data.stride"):
             make_windows(np.zeros((5, 26)), 2, stride)
+    # a config with such a stride is refused before any data loads
     for stride in (0, -1):
-        exp = resolve_experiment({"data": {"source": "synth", "length": 50, "stride": stride}})
-        with pytest.raises(DataError, match="data.stride"):
-            build_node_data(exp)
+        with pytest.raises(ConfigError, match="data.stride"):
+            resolve_experiment({"data": {"source": "synth", "length": 50, "stride": stride}})
 
 
 def test_window_label_any_abnormal():
@@ -212,10 +212,8 @@ def test_split_bad_ratios():
     for ratios in ((0.5, 0.2, 0.2), (0.5, 0.5), (1.2, -0.2, 0.0)):
         with pytest.raises(DataError, match="data.ratios"):
             split_windows(np.zeros((0, 4, 26)), ratios=ratios)
-    exp = resolve_experiment({"data": {"source": "synth", "length": 50,
-                                       "ratios": [0.5, 0.5]}})
-    with pytest.raises(DataError, match="data.ratios"):
-        build_node_data(exp)
+    with pytest.raises(ConfigError, match="data.ratios"):
+        resolve_experiment({"data": {"source": "synth", "length": 50, "ratios": [0.5, 0.5]}})
 
 
 def test_make_windows_shape():
