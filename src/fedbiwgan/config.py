@@ -95,6 +95,11 @@ def _coerced(cfg, name, casts):
 
 
 def _data_section(cfg):
+    if "label_column" in _section(cfg, "data"):
+        raise ConfigError(
+            "data.label_column is not supported: evaluation labels come from "
+            "fault injection, so a CSV's own labels would change no result"
+        )
     data = _coerced(cfg, "data", {
         "stride": int, "length": int, "noise": float,
         "ratios": lambda v: tuple(float(r) for r in v),

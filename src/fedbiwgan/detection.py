@@ -171,20 +171,3 @@ def per_fault_recall(scored: list[ScoredSample]) -> dict:
         hit = sum(1 for s in subset if s.predicted_label == 1)
         out[fault] = MetricValue(hit / len(subset)) if subset else MetricValue(None, "no samples")
     return out
-
-
-def threshold_sweep(scored: list[ScoredSample], grid) -> list[dict]:
-    """Metrics at each threshold of a caller-supplied grid."""
-    rows = []
-    for th in grid:
-        for s in scored:
-            s.predicted_label = int(s.score > th)
-        m = evaluate(scored)
-        rows.append({
-            "threshold": float(th),
-            "precision": m["precision"].value,
-            "recall": m["recall"].value,
-            "f1": m["f1"].value,
-            "accuracy": m["accuracy"].value,
-        })
-    return rows

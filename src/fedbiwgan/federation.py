@@ -18,15 +18,19 @@ from . import autodiff as ad
 from . import wire
 from .ledger import CostLedger, PhaseTimer
 from .models import (
+    BIWGAN_GP,
+    WEIGHT_CLIP,
     CriticModel,
     EncoderModel,
     GeneratorModel,
     JointPair,
     ModelConfig,
     NoiseSpec,
+    Objective,
     critic_loss,
     eg_local_loss,
     error_feedbacks,
+    get_objective,
 )
 from .nn import AdamConfig, AdamState, adam_step
 
@@ -156,18 +160,21 @@ def _seeded_rng(*entropy):
 
 
 class MonitorNode:
-    """Hosts one critic and one training-data shard."""
+    """Hosts one critic and one training-data shard; the objective sets
+    whether the critic reads whole pairs or windows only."""
 
     def __init__(self, slice_id, monitor_id, shard, model_cfg: ModelConfig,
-                 cfg: TrainingConfig, seed):
+                 cfg: TrainingConfig, seed, objective: Objective = BIWGAN_GP):
         self.slice_id = slice_id
         self.monitor_id = monitor_id
         self.shard = np.asarray(shard, dtype=np.float64)
         if self.shard.ndim != 3:
             raise ValueError("shard must be [windows, t, features]")
+        self.objective = objective
         # canonical name so checkpoints reload into a fresh CriticModel
         self.critic = CriticModel(
             model_cfg, _seeded_rng(seed, _SEED_CRITIC, slice_id, monitor_id),
+            input_dim=None if objective.joint else model_cfg.window * model_cfg.features,
         )
         self.adam_state = AdamState.for_params(self.critic.params())
         self.cfg = cfg
@@ -196,8 +203,10 @@ class ManagerNode:
 
 
 def monitor_round(monitor: MonitorNode, x_batch, packet: GenPacket, critic_iters, eta):
-    """K critic Adam updates on the received pairs, then the local EG loss
-    and per-example error feedbacks computed with the updated critic."""
+    """K critic Adam updates on the received pairs under the monitor's
+    objective (a penalty draws its interpolation weights from the monitor's
+    stream; clipping follows each step), then the local EG loss and
+    per-example error feedbacks computed with the updated critic."""
     m = x_batch.shape[0]
     if len(packet.noise) != m:
         raise ProtocolError(
@@ -205,17 +214,21 @@ def monitor_round(monitor: MonitorNode, x_batch, packet: GenPacket, critic_iters
         )
     real = JointPair(x_batch, packet.latent_real, "real")
     fake = JointPair(packet.fake_data, packet.noise, "fake")
+    objective = monitor.objective
+    params = monitor.critic.params()
     last = None
     for _ in range(critic_iters):
-        eps = monitor.stream.uniform(0.0, 1.0, m)
-        last = critic_loss(monitor.critic, real, fake, eps, eta)
-        adam_step(monitor.critic.params(), last.param_grads, monitor.adam_state,
-                  monitor.cfg.adam)
-        _require_finite([p.data for p in monitor.critic.params().values()],
+        eps = monitor.stream.uniform(0.0, 1.0, m) if objective.lipschitz == "penalty" else None
+        last = critic_loss(monitor.critic, real, fake, eps, eta, objective)
+        adam_step(params, last.param_grads, monitor.adam_state, monitor.cfg.adam)
+        if objective.lipschitz == "clip":
+            for p in params.values():
+                np.clip(p.data, -WEIGHT_CLIP, WEIGHT_CLIP, out=p.data)
+        _require_finite([p.data for p in params.values()],
                         "critic parameters", packet.iteration,
                         f"monitor[{monitor.slice_id}.{monitor.monitor_id}]")
-    eg = eg_local_loss(monitor.critic, real, fake)
-    f_e, f_g = error_feedbacks(monitor.critic, real, fake)
+    eg = eg_local_loss(monitor.critic, real, fake, objective)
+    f_e, f_g = error_feedbacks(monitor.critic, real, fake, objective)
     feedback = FeedbackPacket(
         slice_id=monitor.slice_id,
         monitor_id=monitor.monitor_id,
@@ -307,6 +320,10 @@ def assemble_manager_gradients(manager: ManagerNode, feedbacks: list[FeedbackPac
 
     def backward(model, out, cot):
         params = model.params()
+        if not cot.any():
+            # a window-only critic's feedbacks leave the encoder nothing to
+            # chain-rule; the gradient is zero without a backward pass
+            return {k: np.zeros_like(p.data) for k, p in params.items()}
         grads = ad.grad(out, list(params.values()), out_grad=cot.reshape(out.data.shape))
         return {k: g.data for k, g in zip(params, grads)}
 
@@ -450,7 +467,7 @@ def _slice_iteration(manager, monitors, bus, iteration, traces, ledger, node):
     })
 
 
-def _group_monitors(topology, cfg, model_cfg, shards, seed, bus):
+def _group_monitors(topology, cfg, model_cfg, shards, seed, bus, objective):
     """The mode as a grouping of monitors under managers, key -> (manager,
     monitors): one group per slice (distributed, federated), a private
     manager per monitor (standalone), or one manager over the pooled
@@ -460,7 +477,8 @@ def _group_monitors(topology, cfg, model_cfg, shards, seed, bus):
 
     def group(s, monitor_shards):
         return ManagerNode(s, model_cfg, cfg, seed), [
-            MonitorNode(s, n, shard, model_cfg, cfg, seed) for n, shard in monitor_shards
+            MonitorNode(s, n, shard, model_cfg, cfg, seed, objective)
+            for n, shard in monitor_shards
         ]
 
     if cfg.mode == "standalone":
@@ -518,9 +536,11 @@ def _federated_average(groups, bus, iteration):
 
 
 def run_training(topology: TopologySpec, cfg: TrainingConfig, model_cfg: ModelConfig,
-                 shards: dict, seed: int) -> RunResult:
+                 shards: dict, seed: int, objective="biwgan_gp") -> RunResult:
     """Train in the configured mode over per-monitor window shards
-    (dict (slice, monitor) -> [windows, t, features])."""
+    (dict (slice, monitor) -> [windows, t, features]) under the named
+    objective (models.OBJECTIVES)."""
+    objective = get_objective(objective)
     for s in range(topology.slices):
         for n in range(topology.monitors_per_slice):
             if (s, n) not in shards:
@@ -529,7 +549,7 @@ def run_training(topology: TopologySpec, cfg: TrainingConfig, model_cfg: ModelCo
     ledger = CostLedger()
     traces = []
     bus = Bus(ledger)
-    groups = _group_monitors(topology, cfg, model_cfg, shards, seed, bus)
+    groups = _group_monitors(topology, cfg, model_cfg, shards, seed, bus, objective)
     if cfg.mode in ("standalone", "centralized"):
         bus = None  # each manager trains on its own monitor: nothing to send
 

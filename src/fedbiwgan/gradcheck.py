@@ -11,14 +11,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .models import (
-    BASELINE_VARIANTS,
+    BIWGAN_GP,
+    OBJECTIVES,
     CriticModel,
     EncoderModel,
     GeneratorModel,
     JointPair,
     ModelConfig,
-    baseline_loss,
     critic_loss,
+    eg_local_loss,
     error_feedbacks,
 )
 from .nn import Dense, FeedForward, VlstmCell, finite_difference_gradient
@@ -35,27 +36,63 @@ def _compare(analytic: dict, numeric: dict):
     return max(_rel_err(analytic[k], numeric[k]) for k in analytic)
 
 
+def _at(params, probe, fn):
+    """fn() evaluated with the parameters' values swapped for probe's."""
+    saved = {k: p.data for k, p in params.items()}
+    for k, p in params.items():
+        p.data = probe[k]
+    try:
+        return fn()
+    finally:
+        for k, p in params.items():
+            p.data = saved[k]
+
+
 def _check_net(net, x, loss_of_out, h=1e-5):
     """Compare graph gradients of loss_of_out(net(x)) against central
     differences over every parameter."""
     params = net.params()
     names = list(params)
-
-    def scalar_loss(probe):
-        saved = {k: params[k].data for k in names}
-        for k in names:
-            params[k].data = probe[k]
-        try:
-            return float(loss_of_out(net(ad.tensor(x))).data)
-        finally:
-            for k in names:
-                params[k].data = saved[k]
-
     loss = loss_of_out(net(ad.tensor(x)))
     grads = ad.grad(loss, [params[k] for k in names])
     analytic = {k: g.data for k, g in zip(names, grads)}
-    numeric = finite_difference_gradient(scalar_loss, params, h)
+    numeric = finite_difference_gradient(
+        lambda probe: _at(params, probe, lambda: float(loss_of_out(net(ad.tensor(x))).data)),
+        params, h,
+    )
     return _compare(analytic, numeric)
+
+
+def _check_critic_loss(critic, real, fake, eps, eta, objective):
+    """Critic parameter gradients of critic_loss against central
+    differences of its value (through the penalty's double backprop)."""
+    params = critic.params()
+    analytic = critic_loss(critic, real, fake, eps, eta, objective).param_grads
+    numeric = finite_difference_gradient(
+        lambda probe: _at(params, probe,
+                          lambda: critic_loss(critic, real, fake, eps, eta, objective).value),
+        params, 1e-5,
+    )
+    return _compare(analytic, numeric)
+
+
+def _check_feedbacks(critic, real_flat, fake_flat, cfg, objective):
+    """error_feedbacks against central differences of eg_local_loss over
+    every input coordinate of the flattened real and fake pairs."""
+    data_len = cfg.window * cfg.features
+
+    def pair(flat, prov):
+        return JointPair(flat[:, :data_len].reshape(-1, cfg.window, cfg.features),
+                         flat[:, data_len:], prov)
+
+    f_e, f_g = error_feedbacks(critic, pair(real_flat, "real"), pair(fake_flat, "fake"),
+                               objective)
+    numeric = finite_difference_gradient(
+        lambda probe: eg_local_loss(critic, pair(probe["real"], "real"),
+                                    pair(probe["fake"], "fake"), objective),
+        {"real": real_flat, "fake": fake_flat},
+    )
+    return _compare({"real": f_e, "fake": f_g}, numeric)
 
 
 class _LstmWrap:
@@ -146,23 +183,8 @@ def run_gradcheck(seed=0, verbose=False):
         real = JointPair(rng.standard_normal((m, 2, 2)), rng.standard_normal((m, 2)), "real")
         fake = JointPair(rng.standard_normal((m, 2, 2)), rng.standard_normal((m, 2)), "fake")
         eps = rng.uniform(0.0, 1.0, m)
-        params = critic.params()
-        names = list(params)
-
-        def penalty_loss(probe, critic=critic, names=names, params=params,
-                         real=real, fake=fake, eps=eps, eta=eta):
-            saved = {k: params[k].data for k in names}
-            for k in names:
-                params[k].data = probe[k]
-            try:
-                return critic_loss(critic, real, fake, eps, eta).value
-            finally:
-                for k in names:
-                    params[k].data = saved[k]
-
-        analytic = critic_loss(critic, real, fake, eps, eta).param_grads
-        numeric = finite_difference_gradient(penalty_loss, params, 1e-5)
-        record(f"critic_loss[eta={eta}]", _compare(analytic, numeric))
+        record(f"critic_loss[eta={eta}]",
+               _check_critic_loss(critic, real, fake, eps, eta, BIWGAN_GP))
 
     # per-example error feedbacks vs finite differences on the inputs
     for m in (2, 4):
@@ -171,53 +193,23 @@ def run_gradcheck(seed=0, verbose=False):
         critic = CriticModel(dcfg, rng)
         real_flat = rng.standard_normal((m, dcfg.pair_dim))
         fake_flat = rng.standard_normal((m, dcfg.pair_dim))
+        record(f"feedbacks[M={m}]", _check_feedbacks(critic, real_flat, fake_flat, dcfg,
+                                                     BIWGAN_GP))
 
-        def _pair(flat, prov, dcfg=dcfg, m=m):
-            data_len = dcfg.window * dcfg.features
-            return JointPair(flat[:, :data_len].reshape(m, dcfg.window, dcfg.features),
-                             flat[:, data_len:], prov)
-
-        def fb_loss(probe, critic=critic, m=m):
-            from .models import eg_local_loss
-            return eg_local_loss(critic, _pair(probe["real"], "real"),
-                                 _pair(probe["fake"], "fake"))
-
-        f_e, f_g = error_feedbacks(critic, _pair(real_flat, "real"), _pair(fake_flat, "fake"))
-        numeric = finite_difference_gradient(fb_loss, {"real": real_flat, "fake": fake_flat})
-        record(f"feedbacks[M={m}]", _compare({"real": f_e, "fake": f_g}, numeric))
-
-    # baseline objective gradients for every variant
-    for variant in BASELINE_VARIANTS:
+    # every objective: its critic loss and the feedbacks that train G and E
+    for name, objective in OBJECTIVES.items():
         dcfg = ModelConfig(features=2, window=2, latent_dim=2,
                            gen_hidden=(3, 3), critic_hidden=(4, 3),
-                           head_mode="sigmoid" if variant in ("gan", "bigan") else "linear")
+                           head_mode="sigmoid" if objective.value == "minimax" else "linear")
+        critic = CriticModel(dcfg, rng, input_dim=None if objective.joint
+                             else dcfg.window * dcfg.features)
         m = 3
-        data_dim = dcfg.window * dcfg.features
-        paired = variant == "bigan"
-        critic = CriticModel(dcfg, rng, input_dim=None if paired else data_dim)
-        if paired:
-            real = JointPair(rng.standard_normal((m, 2, 2)), rng.standard_normal((m, 2)), "real")
-            fake = JointPair(rng.standard_normal((m, 2, 2)), rng.standard_normal((m, 2)), "fake")
-        else:
-            real = rng.standard_normal((m, 2, 2))
-            fake = rng.standard_normal((m, 2, 2))
-        eps = rng.uniform(0.0, 1.0, m) if variant == "wgan_gp" else None
-        params = critic.params()
-        names = list(params)
-
-        def var_loss(probe, critic=critic, names=names, params=params,
-                     real=real, fake=fake, eps=eps, variant=variant):
-            saved = {k: params[k].data for k in names}
-            for k in names:
-                params[k].data = probe[k]
-            try:
-                return baseline_loss(variant, critic, real, fake, eps=eps).d_loss
-            finally:
-                for k in names:
-                    params[k].data = saved[k]
-
-        analytic = baseline_loss(variant, critic, real, fake, eps=eps).d_grads
-        numeric = finite_difference_gradient(var_loss, params, 1e-5)
-        record(f"baseline[{variant}]", _compare(analytic, numeric))
+        real = JointPair(rng.standard_normal((m, 2, 2)), rng.standard_normal((m, 2)), "real")
+        fake = JointPair(rng.standard_normal((m, 2, 2)), rng.standard_normal((m, 2)), "fake")
+        eps = rng.uniform(0.0, 1.0, m)
+        record(f"critic_loss[{name}]",
+               _check_critic_loss(critic, real, fake, eps, 10.0, objective))
+        record(f"feedbacks[{name}]",
+               _check_feedbacks(critic, real.flat(), fake.flat(), dcfg, objective))
 
     return max(err for _, err in results)

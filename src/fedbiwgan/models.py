@@ -1,5 +1,6 @@
 """BiWGAN-GP generator, encoder and critic, their losses and error
-feedbacks, plus the baseline GAN-family objectives used for comparisons.
+feedbacks, for BiWGAN-GP and the four GAN-family objectives it is compared
+against.
 
 The critic scores flattened joint pairs: the data window row-major first,
 then the latent vector. That flattening order is fixed; packets, feedbacks
@@ -8,7 +9,7 @@ and checkpoints all rely on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -226,11 +227,6 @@ def encode(e: EncoderModel, x) -> np.ndarray:
         return e(ad.tensor(np.asarray(x, dtype=np.float64))).data
 
 
-def discriminate(d: CriticModel, pair: JointPair) -> np.ndarray:
-    with ad.no_record():
-        return d(ad.tensor(pair.flat())).data[:, 0]
-
-
 def interpolate(real: JointPair, fake: JointPair, eps) -> JointPair:
     eps = np.asarray(eps, dtype=np.float64)
     if np.any(eps < 0) or np.any(eps > 1):
@@ -247,7 +243,55 @@ def interpolate(real: JointPair, fake: JointPair, eps) -> JointPair:
 
 
 # ---------------------------------------------------------------------------
-# BiWGAN-GP losses
+# objectives
+
+
+@dataclass(frozen=True)
+class Objective:
+    """A GAN-family objective for the split driver, fixed by three choices:
+
+    - value: "wasserstein", mean D(real) - mean D(fake), or "minimax",
+      mean log D(real) + mean log(1 - D(fake)) on a probability head. The
+      critic maximizes it; the generator and encoder minimize it.
+    - lipschitz: "penalty" (nn.gradient_penalty), "clip" (every critic
+      weight clipped to +-WEIGHT_CLIP after each step) or "none".
+    - joint: the critic sees the full (window, latent) pair, or the
+      window only, in which case the feedbacks' latent columns are zero.
+    """
+
+    name: str
+    value: str
+    lipschitz: str
+    joint: bool
+
+
+OBJECTIVES = {o.name: o for o in (
+    Objective("gan", "minimax", "none", joint=False),
+    Objective("bigan", "minimax", "none", joint=True),
+    Objective("wgan", "wasserstein", "clip", joint=False),
+    Objective("wgan_gp", "wasserstein", "penalty", joint=False),
+    Objective("biwgan_gp", "wasserstein", "penalty", joint=True),
+)}
+BIWGAN_GP = OBJECTIVES["biwgan_gp"]
+WEIGHT_CLIP = 0.01
+
+
+def get_objective(name) -> Objective:
+    if name not in OBJECTIVES:
+        raise ValueError(
+            f"unknown objective {name!r}; valid objectives are {', '.join(OBJECTIVES)}"
+        )
+    return OBJECTIVES[name]
+
+
+def _critic_input(pair: JointPair, objective: Objective) -> np.ndarray:
+    """The rows a critic of this objective scores: the flattened pair, or
+    the flattened window alone."""
+    return pair.flat() if objective.joint else pair.data_part.reshape(pair.batch, -1)
+
+
+# ---------------------------------------------------------------------------
+# losses
 
 
 @dataclass
@@ -257,128 +301,67 @@ class CriticLossResult:
     param_grads: dict
 
 
-def critic_loss(d: CriticModel, real: JointPair, fake: JointPair, eps, eta) -> CriticLossResult:
-    """The minimized critic objective
-    mean[-(D(real) - D(fake))] + eta * mean[(‖∇D(interp)‖ - 1)²]."""
+def critic_loss(d: CriticModel, real: JointPair, fake: JointPair, eps, eta,
+                objective: Objective = BIWGAN_GP) -> CriticLossResult:
+    """The minimized critic objective -value, plus for "penalty"
+    objectives eta * mean[(‖∇D(interp)‖ - 1)²]."""
     if real.batch == 0:
         raise ValueError("empty batch")
     if real.batch != fake.batch:
         raise ShapeError("real/fake batch sizes differ")
-    u_real = ad.tensor(real.flat(), requires_grad=True)
-    u_fake = ad.tensor(fake.flat(), requires_grad=True)
-    wgap = ad.tmean(ad.sub(d(u_real), d(u_fake)))
-    penalty = gradient_penalty(d, interpolate(real, fake, eps).flat(), eta)
-    loss = ad.add(ad.neg(wgap), penalty)
+    value, _, _ = _eg_graph(d, real, fake, objective)
+    loss = ad.neg(value)
+    penalty = 0.0
+    if objective.lipschitz == "penalty":
+        x_hat = _critic_input(interpolate(real, fake, eps), objective)
+        penalty_t = gradient_penalty(d, x_hat, eta)
+        loss = ad.add(loss, penalty_t)
+        penalty = float(penalty_t.data)
     params = d.params()
     names = list(params)
     grads = ad.grad(loss, [params[k] for k in names])
     return CriticLossResult(
         value=float(loss.data),
-        penalty=float(penalty.data),
+        penalty=penalty,
         param_grads={k: g.data for k, g in zip(names, grads)},
     )
 
 
-def _eg_graph(d: CriticModel, real: JointPair, fake: JointPair):
-    u_real = ad.tensor(real.flat(), requires_grad=True)
-    u_fake = ad.tensor(fake.flat(), requires_grad=True)
-    loss = ad.tmean(ad.sub(d(u_real), d(u_fake)))
-    return loss, u_real, u_fake
+def _eg_graph(d: CriticModel, real: JointPair, fake: JointPair, objective: Objective):
+    u_real = ad.tensor(_critic_input(real, objective), requires_grad=True)
+    u_fake = ad.tensor(_critic_input(fake, objective), requires_grad=True)
+    if objective.value == "wasserstein":
+        value = ad.tmean(ad.sub(d(u_real), d(u_fake)))
+    else:
+        value = ad.add(
+            ad.tmean(ad.log(d(u_real))),
+            ad.tmean(ad.log(ad.sub(ad.constant(1.0), d(u_fake)))),
+        )
+    return value, u_real, u_fake
 
 
-def eg_local_loss(d: CriticModel, real: JointPair, fake: JointPair) -> float:
-    """mean over the batch of D(real pair) - D(fake pair)."""
+def eg_local_loss(d: CriticModel, real: JointPair, fake: JointPair,
+                  objective: Objective = BIWGAN_GP) -> float:
+    """The objective's value on the batch, e.g. mean D(real) - D(fake)."""
     if real.batch == 0:
         raise ValueError("empty batch")
     with ad.no_record():
-        loss, _, _ = _eg_graph(d, real, fake)
-    return float(loss.data)
+        value, _, _ = _eg_graph(d, real, fake, objective)
+    return float(value.data)
 
 
-def error_feedbacks(d: CriticModel, real: JointPair, fake: JointPair):
+def error_feedbacks(d: CriticModel, real: JointPair, fake: JointPair,
+                    objective: Objective = BIWGAN_GP):
     """Per-example gradients of the local EG loss w.r.t. the critic's
     inputs: (F_E rows for real pairs, F_G rows for fake pairs), each
-    [batch, window*features + latent_dim] in flattening order."""
+    [batch, window*features + latent_dim] in flattening order. A
+    window-only critic's rows are zero in the latent columns."""
     if real.batch == 0:
         raise ValueError("empty batch")
-    loss, u_real, u_fake = _eg_graph(d, real, fake)
-    g_real, g_fake = ad.grad(loss, [u_real, u_fake])
-    return g_real.data, g_fake.data
-
-
-# ---------------------------------------------------------------------------
-# baseline GAN-family objectives
-
-
-@dataclass
-class BaselineLoss:
-    """d_loss keeps each variant's printed orientation: gan/bigan report
-    the value D maximizes (so a trainer ascends d_grads), wgan/wgan_gp the
-    minimized critic loss (trainer descends). ge_loss is always minimized
-    by G (and E); ge_input_grads are its gradients w.r.t. the critic
-    inputs, for chain-ruling through the generator/encoder."""
-
-    d_loss: float
-    d_grads: dict
-    ge_loss: float
-    ge_input_grads: dict = field(default_factory=dict)
-
-
-BASELINE_VARIANTS = ("gan", "bigan", "wgan", "wgan_gp")
-
-
-def baseline_loss(variant, d: CriticModel, real, fake, eps=None, eta=10.0) -> BaselineLoss:
-    """Literal objective values and gradients for each baseline.
-
-    gan/wgan/wgan_gp take raw data batches [batch, ...] (flattened to the
-    critic input); bigan takes JointPairs. wgan's Lipschitz constraint is
-    weight clipping, applied by the trainer, not here.
-    """
-    if variant not in BASELINE_VARIANTS:
-        raise ValueError(f"unknown baseline variant {variant!r}")
-    if variant == "bigan":
-        if not isinstance(real, JointPair) or not isinstance(fake, JointPair):
-            raise TypeError("bigan needs JointPair batches")
-        u_real_np, u_fake_np = real.flat(), fake.flat()
-    else:
-        if isinstance(real, JointPair) or isinstance(fake, JointPair):
-            raise TypeError(f"{variant} takes raw data batches, not joint pairs")
-        u_real_np = np.asarray(real, dtype=np.float64).reshape(len(real), -1)
-        u_fake_np = np.asarray(fake, dtype=np.float64).reshape(len(fake), -1)
-
-    u_real = ad.tensor(u_real_np, requires_grad=True)
-    u_fake = ad.tensor(u_fake_np, requires_grad=True)
-    d_real = d(u_real)
-    d_fake = d(u_fake)
-
-    if variant in ("gan", "bigan"):
-        # minimax with probabilities: D maximizes E[log D(real)] + E[log(1-D(fake))];
-        # G (and E) minimize the same expression
-        value = ad.add(
-            ad.tmean(ad.log(d_real)),
-            ad.tmean(ad.log(ad.sub(ad.constant(1.0), d_fake))),
-        )
-        d_obj = value  # maximized by D, as printed
-        ge_obj = value  # minimized by G and E, as printed
-    else:
-        wgap = ad.tmean(ad.sub(d_real, d_fake))
-        if variant == "wgan_gp":
-            e = np.asarray(eps, dtype=np.float64).reshape(-1, 1)
-            penalty = gradient_penalty(d, e * u_real_np + (1 - e) * u_fake_np, eta)
-            d_obj = ad.add(ad.neg(wgap), penalty)
-        else:
-            d_obj = ad.neg(wgap)
-        # G minimizes -E[D(fake)]; for bigan-style pairs E would also enter,
-        # but wgan variants have data-only critics
-        ge_obj = ad.neg(ad.tmean(d_fake))
-
-    params = d.params()
-    names = list(params)
-    d_grads = ad.grad(d_obj, [params[k] for k in names])
-    ge_real, ge_fake = ad.grad(ge_obj, [u_real, u_fake])
-    return BaselineLoss(
-        d_loss=float(d_obj.data),
-        d_grads={k: g.data for k, g in zip(names, d_grads)},
-        ge_loss=float(ge_obj.data),
-        ge_input_grads={"real": ge_real.data, "fake": ge_fake.data},
-    )
+    value, u_real, u_fake = _eg_graph(d, real, fake, objective)
+    g_real, g_fake = ad.grad(value, [u_real, u_fake])
+    if objective.joint:
+        return g_real.data, g_fake.data
+    zeros = np.zeros_like(real.latent_part)
+    return (np.concatenate([g_real.data, zeros], axis=1),
+            np.concatenate([g_fake.data, zeros], axis=1))

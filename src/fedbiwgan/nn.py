@@ -145,36 +145,6 @@ class FeedForward:
         return out
 
 
-@dataclass
-class Tape:
-    """Forward record: input leaf, output node, and the network used."""
-
-    input: Tensor
-    output: Tensor
-    net: object
-
-
-def network_forward(net, x) -> tuple[Tensor, Tape]:
-    x_leaf = ad.tensor(np.asarray(x, dtype=np.float64), requires_grad=True)
-    out = net(x_leaf)
-    return out, Tape(input=x_leaf, output=out, net=net)
-
-
-def network_backward(tape: Tape, output_gradient):
-    """Exact reverse-mode gradients of sum(output * output_gradient)."""
-    gout = np.asarray(output_gradient, dtype=np.float64)
-    if gout.shape != tape.output.data.shape:
-        raise ShapeError(
-            f"output_gradient shape {gout.shape} != output shape {tape.output.data.shape}"
-        )
-    params = tape.net.params()
-    names = list(params)
-    leaves = [params[k] for k in names] + [tape.input]
-    grads = ad.grad(tape.output, leaves, out_grad=gout)
-    param_grads = {k: g.data for k, g in zip(names, grads[:-1])}
-    return param_grads, grads[-1].data
-
-
 def gradient_penalty(critic, x_hat, eta) -> Tensor:
     """Penalty eta*mean((‖∇_u D(u)‖₂ - 1)²) over the rows of x_hat, as a
     graph whose parameter gradients are exact via double backprop."""

@@ -62,6 +62,7 @@ def test_resolve_rejects_bad_values():
         ("data", "ratios", 3), ("data", "length", 0), ("data", "noise", -0.1),
         ("injection", "rate", "high"), ("injection", "rate", 1.5),
         ("injection", "magnitude", "big"), ("injection", "seed", None),
+        ("data", "label_column", "anomaly"),
     ]:
         with pytest.raises(ConfigError, match=field):
             resolve_experiment({section: {field: value}})

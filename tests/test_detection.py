@@ -16,7 +16,6 @@ from fedbiwgan.detection import (
     metrics_from_counts,
     per_fault_recall,
     score_windows,
-    threshold_sweep,
 )
 from fedbiwgan.models import CriticModel, EncoderModel, GeneratorModel, ModelConfig
 
@@ -184,11 +183,3 @@ def test_per_fault_recall():
     fr = per_fault_recall(scored)
     assert fr["memory_leak"].value == pytest.approx(0.5)
     assert fr["disk_io_fault"].value == pytest.approx(1.0)
-
-
-def test_threshold_sweep():
-    scored = _scored([0.1, 0.9], [0, 1])
-    rows = threshold_sweep(scored, [0.0, 0.5, 1.0])
-    assert len(rows) == 3
-    assert rows[1]["f1"] == pytest.approx(1.0)
-    assert rows[2]["recall"] == pytest.approx(0.0)

@@ -9,13 +9,13 @@ from fedbiwgan.models import (
     JointPair,
     ModelConfig,
     NoiseSpec,
-    baseline_loss,
+    OBJECTIVES,
     critic_loss,
-    discriminate,
     eg_local_loss,
     error_feedbacks,
     generate,
     encode,
+    get_objective,
     interpolate,
 )
 from fedbiwgan.nn import ShapeError
@@ -75,7 +75,8 @@ def test_critic_zero_init_heads():
         for p in d.params().values():
             p.data[...] = 0.0
         pair = JointPair(np.zeros((3, 4, 3)), np.zeros((3, 2)), "real")
-        scores = discriminate(d, pair)
+        with ad.no_record():
+            scores = d(ad.tensor(pair.flat())).data[:, 0]
         assert scores.shape == (3,)
         np.testing.assert_allclose(scores, expected)
 
@@ -207,7 +208,7 @@ def test_feedbacks_constant_critic_zero():
 
 
 # ---------------------------------------------------------------------------
-# baseline objectives
+# the baseline objectives
 
 
 class _ConstantProbCritic:
@@ -224,50 +225,72 @@ class _ConstantProbCritic:
         return {"w": self._w}
 
 
+def _random_pairs(rng, m, window=2, features=2, latent=2):
+    return (JointPair(rng.random((m, window, features)), rng.random((m, latent)), "real"),
+            JointPair(rng.random((m, window, features)), rng.random((m, latent)), "fake"))
+
+
 def test_gan_constant_half_discriminator_loss():
+    # the window-only gan critic reads 4 = 2 x 2 inputs
     d = _ConstantProbCritic(0.5, 4)
-    rng = np.random.default_rng(0)
-    res = baseline_loss("gan", d, rng.random((3, 2, 2)), rng.random((3, 2, 2)))
-    assert res.d_loss == pytest.approx(np.log(0.5) + np.log(0.5), abs=1e-12)
-    assert res.d_loss == pytest.approx(-1.3863, abs=1e-4)
+    real, fake = _random_pairs(np.random.default_rng(0), 3)
+    gan = OBJECTIVES["gan"]
+    assert eg_local_loss(d, real, fake, gan) == pytest.approx(np.log(0.5) + np.log(0.5),
+                                                              abs=1e-12)
+    assert eg_local_loss(d, real, fake, gan) == pytest.approx(-1.3863, abs=1e-4)
+    res = critic_loss(d, real, fake, None, 10.0, gan)
+    assert res.value == pytest.approx(-(np.log(0.5) + np.log(0.5)), abs=1e-12)
+    assert res.penalty == 0.0
 
 
 def test_wgan_equal_expectations_zero():
     d = _LinearPairCritic([[0.0, 0.0, 0.0, 0.0]])
-    batch = np.random.default_rng(1).random((3, 2, 2))
-    res = baseline_loss("wgan", d, batch, batch)
-    assert res.d_loss == pytest.approx(0.0, abs=1e-12)
+    real, _ = _random_pairs(np.random.default_rng(1), 3)
+    res = critic_loss(d, real, real, None, 10.0, OBJECTIVES["wgan"])
+    assert res.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_wgan_gp_linear_oracle():
-    # same setup as the critic_loss oracle, flattened data-only critic
+    # same setup as the critic_loss oracle, window-only critic
     d = _LinearPairCritic([[2.0]])
-    real = np.array([[[3.0]]])
-    fake = np.array([[[1.0]]])
-    res = baseline_loss("wgan_gp", d, real, fake, eps=np.array([0.5]), eta=10.0)
-    assert res.d_loss == pytest.approx(-(6.0 - 2.0) + 10.0, abs=1e-10)
+    real = _scalar_pair([3.0], [7.0], "real")
+    fake = _scalar_pair([1.0], [-5.0], "fake")
+    res = critic_loss(d, real, fake, np.array([0.5]), 10.0, OBJECTIVES["wgan_gp"])
+    assert res.value == pytest.approx(-(6.0 - 2.0) + 10.0, abs=1e-10)
 
 
 def test_baseline_type_checks():
-    d = _LinearPairCritic([[1.0, 0.0]])
-    pair = _scalar_pair([1.0], [0.0], "real")
-    with pytest.raises(ValueError):
-        baseline_loss("vae", d, np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))
-    with pytest.raises(TypeError):
-        baseline_loss("bigan", d, np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))
-    with pytest.raises(TypeError):
-        baseline_loss("wgan", d, pair, pair)
+    with pytest.raises(ValueError, match="gan, bigan, wgan, wgan_gp, biwgan_gp"):
+        get_objective("vae")
+    assert set(OBJECTIVES) == {"gan", "bigan", "wgan", "wgan_gp", "biwgan_gp"}
+    # a window-only critic never sees the latent part
+    d = _LinearPairCritic([[1.0]])
+    real = _scalar_pair([1.0], [9.0], "real")
+    fake = _scalar_pair([2.0], [-9.0], "fake")
+    assert eg_local_loss(d, real, fake, OBJECTIVES["wgan"]) == pytest.approx(-1.0)
 
 
 def test_bigan_ge_input_grads_cover_both_pairs():
     cfg = ModelConfig(features=2, window=2, latent_dim=2,
                       gen_hidden=(3, 3), critic_hidden=(4, 3), head_mode="sigmoid")
     d = CriticModel(cfg, np.random.default_rng(5))
-    rng = np.random.default_rng(6)
-    real = JointPair(rng.random((3, 2, 2)), rng.random((3, 2)), "real")
-    fake = JointPair(rng.random((3, 2, 2)), rng.random((3, 2)), "fake")
-    res = baseline_loss("bigan", d, real, fake)
-    assert res.ge_input_grads["real"].shape == (3, cfg.pair_dim)
-    assert res.ge_input_grads["fake"].shape == (3, cfg.pair_dim)
-    assert np.any(res.ge_input_grads["real"] != 0)
-    assert np.any(res.ge_input_grads["fake"] != 0)
+    real, fake = _random_pairs(np.random.default_rng(6), 3)
+    f_e, f_g = error_feedbacks(d, real, fake, OBJECTIVES["bigan"])
+    assert f_e.shape == (3, cfg.pair_dim)
+    assert f_g.shape == (3, cfg.pair_dim)
+    assert np.any(f_e != 0)
+    assert np.any(f_g != 0)
+
+
+@pytest.mark.parametrize("name", ["gan", "wgan", "wgan_gp"])
+def test_window_only_feedbacks_zero_latent_columns(name):
+    objective = OBJECTIVES[name]
+    cfg = ModelConfig(features=2, window=2, latent_dim=2, gen_hidden=(3, 3),
+                      critic_hidden=(4, 3),
+                      head_mode="sigmoid" if objective.value == "minimax" else "linear")
+    d = CriticModel(cfg, np.random.default_rng(5), input_dim=4)
+    real, fake = _random_pairs(np.random.default_rng(6), 3)
+    f_e, f_g = error_feedbacks(d, real, fake, objective)
+    assert f_e.shape == f_g.shape == (3, cfg.pair_dim)
+    assert np.all(f_e[:, 4:] == 0) and np.all(f_g[:, 4:] == 0)
+    assert np.any(f_e[:, :4] != 0) and np.any(f_g[:, :4] != 0)
