@@ -17,7 +17,7 @@ import numpy as np
 from .checkpoint import load_models, save_models
 from .config import ConfigError, load_config, load_experiment, resolve_experiment
 from .data import FEATURE_NAMES, SynthSpec, synth_dataset
-from .detection import evaluate, per_fault_recall
+from .detection import calibrate_threshold, classify, evaluate
 from .experiment import (
     _injected_samples,
     build_node_data,
@@ -48,6 +48,13 @@ def _read_json(path):
 
 def _node_key(s, n):
     return f"{s}.{n}"
+
+
+def _unit_interval(text):
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
 
 
 def _load_run(run_dir):
@@ -187,28 +194,30 @@ def cmd_detect(args, with_metrics=False):
         raise UsageError("provenance error: thresholds were calibrated for a different config")
     gamma = th_doc["gamma"]
     bundles, test = _load_bundles(run_dir, manifest, "test")
-    thresholds = {key: th_doc["per_node"][_node_key(*key)]["threshold"] for key in bundles}
-    per_node = detect_monitors(bundles, test, manifest["injection"], thresholds, gamma)
-    all_scored = []
+    thresholds = {}
+    for key in bundles:
+        entry = th_doc["per_node"].get(_node_key(*key), {})
+        if "threshold" not in entry:
+            raise UsageError(f"{th_path}: no threshold for monitor {_node_key(*key)}; "
+                             "run calibrate again")
+        thresholds[key] = entry["threshold"]
+    per_node, metrics, fault_recall = detect_monitors(bundles, test, manifest["injection"],
+                                                      thresholds, gamma)
     with open(run_dir / "scores.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node", "window", "score", "reconstruction_term",
                         "discriminator_term", "true_label", "predicted_label", "fault"])
-        for (s, n), scored in per_node.items():
-            for sample in scored:
+        for (s, n), (scored, labels, faults, predicted) in per_node.items():
+            for i, (score, rec, disc) in enumerate(scored.tolist()):
                 writer.writerow([
-                    _node_key(s, n), sample.window_id, f"{sample.score:.12g}",
-                    f"{sample.reconstruction_term:.12g}",
-                    f"{sample.discriminator_term:.12g}",
-                    sample.true_label, sample.predicted_label, sample.fault or "",
+                    _node_key(s, n), i, f"{score:.12g}", f"{rec:.12g}", f"{disc:.12g}",
+                    labels[i], predicted[i], faults[i] or "",
                 ])
-            all_scored.extend(scored)
-    print(f"scored {len(all_scored)} test windows -> {run_dir / 'scores.csv'}")
+    print(f"scored {sum(v[0].size for v in per_node.values())} test windows "
+          f"-> {run_dir / 'scores.csv'}")
     if not with_metrics:
         return 0
 
-    metrics = evaluate(all_scored)
-    fault_recall = per_fault_recall(all_scored)
     counts = metrics["counts"]
     doc = {
         "config_hash": manifest["config_hash"],
@@ -235,7 +244,6 @@ def cmd_evaluate(args):
 
 def cmd_compare(args):
     from .config import config_hash
-    from .detection import calibrate_threshold, classify_all
     from .variants import train_variant
 
     exp = load_experiment(args.config)
@@ -250,8 +258,8 @@ def cmd_compare(args):
     train = np.concatenate([nd.train for nd in nodes.values()])
     val = np.concatenate([nd.val for nd in nodes.values()])
     test = np.concatenate([nd.test for nd in nodes.values()])
-    val_x, val_labels, val_faults = _injected_samples(val, exp.injection, 0)
-    test_x, test_labels, test_faults = _injected_samples(test, exp.injection, 1)
+    val_x, val_labels, _ = _injected_samples(val, exp.injection, 0)
+    test_x, test_labels, _ = _injected_samples(test, exp.injection, 1)
     dataset_hash = config_hash({"data": exp.data, "topology": exp.raw.get("topology", {})})
 
     out = Path(args.out)
@@ -260,12 +268,8 @@ def cmd_compare(args):
     for seed in seeds:
         for variant in variants:
             bundle = train_variant(variant, train, exp.model, exp.training, seed)
-            scored_val = bundle.score(val_x, exp.gamma, labels=val_labels, faults=val_faults)
-            th, *_ = calibrate_threshold(scored_val)
-            scored_test = bundle.score(test_x, exp.gamma, labels=test_labels,
-                                       faults=test_faults)
-            classify_all(scored_test, th)
-            metrics = evaluate(scored_test)
+            th, *_ = calibrate_threshold(bundle.score(val_x, exp.gamma).score, val_labels)
+            metrics = evaluate(test_labels, classify(bundle.score(test_x, exp.gamma).score, th))
             rows.append({
                 "variant": variant,
                 "seed": seed,
@@ -372,7 +376,7 @@ def build_parser():
 
     p = sub.add_parser("calibrate", help="set detection thresholds from the validation split")
     p.add_argument("--run", required=True)
-    p.add_argument("--gamma", type=float)
+    p.add_argument("--gamma", type=_unit_interval)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("detect", help="score the test split")

@@ -16,20 +16,13 @@ import numpy as np
 from . import autodiff as ad
 from .models import CriticModel, EncoderModel, GeneratorModel
 
+# the row type of score_windows' record arrays
+SCORE_DTYPE = np.dtype([(name, np.float64)
+                       for name in ("score", "reconstruction_term", "discriminator_term")])
+
 
 class DetectionError(ValueError):
     pass
-
-
-@dataclass
-class ScoredSample:
-    window_id: int
-    score: float
-    reconstruction_term: float
-    discriminator_term: float
-    true_label: int | None = None
-    predicted_label: int | None = None
-    fault: str | None = None
 
 
 @dataclass
@@ -44,9 +37,13 @@ class ConfusionCounts:
         return self.tp + self.tn + self.fp + self.fn
 
 
-def score_windows(windows, g: GeneratorModel, e: EncoderModel, d: CriticModel,
-                  gamma, labels=None, faults=None) -> list[ScoredSample]:
-    """Score a batch of [n, t, features] windows in one forward pass."""
+def score_windows(windows, g: GeneratorModel, e: EncoderModel | None, d: CriticModel,
+                  gamma) -> np.recarray:
+    """Score a batch of [n, t, features] windows in one forward pass.
+
+    Returns an [n] record array of float64 fields score,
+    reconstruction_term and discriminator_term. With e None the critic
+    reads the window alone and the score is its confidence term alone."""
     if not (0.0 <= gamma <= 1.0):
         raise DetectionError("gamma must lie in [0, 1]")
     x = np.asarray(windows, dtype=np.float64)
@@ -54,37 +51,41 @@ def score_windows(windows, g: GeneratorModel, e: EncoderModel, d: CriticModel,
         raise DetectionError(f"expected [n, t, features] windows, got shape {x.shape}")
     n = x.shape[0]
     if n == 0:
-        return []
+        return np.rec.fromarrays([np.zeros(0)] * 3, dtype=SCORE_DTYPE)
+    flat = x.reshape(n, -1)
     with ad.no_record():
-        latent = e(ad.tensor(x)).data
-        recon = g(ad.tensor(latent)).data
-        flat = np.concatenate([x.reshape(n, -1), latent], axis=1)
-        raw = d.raw_output(ad.tensor(flat)).data[:, 0]
-    l_rec = np.abs(x - recon).reshape(n, -1).sum(axis=1)
+        if e is None:
+            raw = d.raw_output(ad.tensor(flat)).data[:, 0]
+        else:
+            latent = e(ad.tensor(x)).data
+            recon = g(ad.tensor(latent)).data
+            raw = d.raw_output(ad.tensor(np.concatenate([flat, latent], axis=1))).data[:, 0]
     # cross-entropy against target 1: -log sigmoid(raw)
     l_disc = np.logaddexp(0.0, -raw)
-    scores = gamma * l_rec + (1 - gamma) * l_disc
-    out = []
-    for i in range(n):
-        out.append(ScoredSample(
-            window_id=i,
-            score=float(scores[i]),
-            reconstruction_term=float(l_rec[i]),
-            discriminator_term=float(l_disc[i]),
-            true_label=None if labels is None else int(labels[i]),
-            fault=None if faults is None else faults[i],
-        ))
-    return out
+    if e is None:
+        l_rec, scores = np.zeros(n), l_disc
+    else:
+        l_rec = np.abs(x - recon).reshape(n, -1).sum(axis=1)
+        scores = gamma * l_rec + (1 - gamma) * l_disc
+    return np.rec.fromarrays([scores, l_rec, l_disc], dtype=SCORE_DTYPE)
 
 
-def calibrate_threshold(scored: list[ScoredSample]):
+def _paired(a, b, what):
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.ndim != 1:
+        raise DetectionError(f"{what} must be two [n] arrays, got shapes {a.shape} and {b.shape}")
+    return a, b
+
+
+def calibrate_threshold(scores, labels):
     """Midpoint of the mean normal score and the mean abnormal score.
     Returns (threshold, mean_normal, mean_abnormal, degenerate_flag)."""
-    normal = [s.score for s in scored if s.true_label == 0]
-    abnormal = [s.score for s in scored if s.true_label == 1]
-    if not normal:
+    scores, labels = _paired(scores, labels, "scores and labels")
+    normal = scores[labels == 0]
+    abnormal = scores[labels == 1]
+    if not normal.size:
         raise DetectionError("calibration needs labeled-normal windows")
-    if not abnormal:
+    if not abnormal.size:
         raise DetectionError("no injected anomalies in the calibration windows")
     mean_normal = float(np.mean(normal))
     mean_abnormal = float(np.mean(abnormal))
@@ -92,16 +93,10 @@ def calibrate_threshold(scored: list[ScoredSample]):
     return threshold, mean_normal, mean_abnormal, mean_normal == mean_abnormal
 
 
-def classify(sample: ScoredSample, threshold) -> str:
-    """Abnormal iff the score strictly exceeds the threshold."""
-    sample.predicted_label = int(sample.score > threshold)
-    return "abnormal" if sample.predicted_label else "normal"
-
-
-def classify_all(scored, threshold):
-    for s in scored:
-        classify(s, threshold)
-    return scored
+def classify(scores, threshold) -> np.ndarray:
+    """[n] int labels: 1 (abnormal) iff the score strictly exceeds the
+    threshold."""
+    return (np.asarray(scores) > threshold).astype(np.int64)
 
 
 @dataclass
@@ -141,33 +136,31 @@ def metrics_from_counts(c: ConfusionCounts) -> dict:
     return {"precision": precision, "recall": recall, "f1": f1, "accuracy": accuracy}
 
 
-def evaluate(scored: list[ScoredSample]) -> dict:
-    """Confusion counts and the four ratios over classified, labeled samples."""
-    if not scored:
+def evaluate(labels, predicted) -> dict:
+    """Confusion counts and the four ratios of [n] true and predicted
+    labels."""
+    labels, predicted = _paired(labels, predicted, "labels and predictions")
+    if not labels.size:
         raise DetectionError("nothing to evaluate")
-    counts = ConfusionCounts()
-    for s in scored:
-        if s.true_label is None or s.predicted_label is None:
-            raise DetectionError("evaluate needs labeled, classified samples")
-        if s.true_label == 1 and s.predicted_label == 1:
-            counts.tp += 1
-        elif s.true_label == 0 and s.predicted_label == 0:
-            counts.tn += 1
-        elif s.true_label == 0 and s.predicted_label == 1:
-            counts.fp += 1
-        else:
-            counts.fn += 1
+    normal, hit = labels == 0, predicted == 1
+    tp = int(np.sum((labels == 1) & hit))
+    tn = int(np.sum(normal & (predicted == 0)))
+    fp = int(np.sum(normal & hit))
+    counts = ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=labels.size - tp - tn - fp)
     result = metrics_from_counts(counts)
     result["counts"] = counts
     return result
 
 
-def per_fault_recall(scored: list[ScoredSample]) -> dict:
-    """Recall split by injected fault type (for injected test sets)."""
+def per_fault_recall(labels, predicted, faults) -> dict:
+    """Recall split by injected fault type, from [n] true and predicted
+    labels and fault names (None or "" on untouched windows)."""
+    labels, predicted = _paired(labels, predicted, "labels and predictions")
+    faults = np.asarray(faults, dtype=object)
     out = {}
-    faults = sorted({s.fault for s in scored if s.fault})
-    for fault in faults:
-        subset = [s for s in scored if s.fault == fault and s.true_label == 1]
-        hit = sum(1 for s in subset if s.predicted_label == 1)
-        out[fault] = MetricValue(hit / len(subset)) if subset else MetricValue(None, "no samples")
+    for fault in sorted({f for f in faults.tolist() if f}):
+        subset = (faults == fault) & (labels == 1)
+        total = int(np.sum(subset))
+        out[fault] = (MetricValue(int(np.sum(subset & (predicted == 1))) / total) if total
+                      else MetricValue(None, "no samples"))
     return out

@@ -25,7 +25,7 @@ from .data import (
 )
 from .detection import (
     calibrate_threshold,
-    classify_all,
+    classify,
     evaluate,
     per_fault_recall,
     score_windows,
@@ -103,20 +103,21 @@ def _injected_samples(windows, injection, seed_offset):
 def score_monitors(bundles, windows, injection, seed_offset, gamma):
     """Inject the four-fault mix into each monitor's windows and score
     them with that monitor's models. bundles maps (s, n) -> (g, e, d) and
-    windows maps (s, n) -> [num, t, features]; returns (s, n) -> scored
-    samples, in the order of `bundles`."""
+    windows maps (s, n) -> [num, t, features]; returns (s, n) -> (score
+    records, labels, faults), in the order of `bundles`."""
     scored = {}
     for key, (g, e, d) in bundles.items():
         x, labels, faults = _injected_samples(windows[key], injection, seed_offset)
-        scored[key] = score_windows(x, g, e, d, gamma, labels=labels, faults=faults)
+        scored[key] = (score_windows(x, g, e, d, gamma), labels, faults)
     return scored
 
 
 def calibrate_monitors(bundles, windows, injection, gamma):
     """Per-monitor thresholds from the injected validation windows."""
     thresholds = {}
-    for key, scored in score_monitors(bundles, windows, injection, 0, gamma).items():
-        th, mean_normal, mean_abnormal, degenerate = calibrate_threshold(scored)
+    val = score_monitors(bundles, windows, injection, 0, gamma)
+    for key, (scored, labels, _) in val.items():
+        th, mean_normal, mean_abnormal, degenerate = calibrate_threshold(scored.score, labels)
         thresholds[key] = {
             "threshold": th,
             "mean_normal": mean_normal,
@@ -128,11 +129,15 @@ def calibrate_monitors(bundles, windows, injection, gamma):
 
 def detect_monitors(bundles, windows, injection, thresholds, gamma):
     """Score the injected test windows of every monitor and classify them
-    against thresholds[(s, n)]; returns (s, n) -> classified samples."""
-    scored = score_monitors(bundles, windows, injection, 1, gamma)
-    for key, samples in scored.items():
-        classify_all(samples, thresholds[key])
-    return scored
+    against thresholds[(s, n)]. Returns (per_node, metrics, fault_recall):
+    per_node maps (s, n) -> (score records, labels, faults, predicted),
+    and the metrics and per-fault recall pool every monitor's windows."""
+    per_node = {}
+    test = score_monitors(bundles, windows, injection, 1, gamma)
+    for key, (scored, labels, faults) in test.items():
+        per_node[key] = (scored, labels, faults, classify(scored.score, thresholds[key]))
+    _, labels, faults, predicted = map(np.concatenate, zip(*per_node.values()))
+    return per_node, evaluate(labels, predicted), per_fault_recall(labels, predicted, faults)
 
 
 def _bundles(result: RunResult, nodes: dict):
@@ -149,17 +154,11 @@ def calibrate_experiment(exp: Experiment, result: RunResult, nodes: dict, gamma=
 def detect_experiment(exp: Experiment, result: RunResult, nodes: dict,
                       thresholds: dict, gamma=None):
     """Score and classify the injected test split on every monitor;
-    returns (scored samples with node tags, pooled metrics, per-fault
+    returns detect_monitors' (per_node, pooled metrics, per-fault
     recall)."""
     gamma = exp.gamma if gamma is None else gamma
     test = {key: nd.test for key, nd in nodes.items()}
-    per_node = detect_monitors(
+    return detect_monitors(
         _bundles(result, nodes), test, exp.injection,
         {key: th["threshold"] for key, th in thresholds.items()}, gamma,
     )
-    all_scored = []
-    for (s, n), scored in per_node.items():
-        for sample in scored:
-            sample.window_id = (s, n, sample.window_id)
-        all_scored.extend(scored)
-    return all_scored, evaluate(all_scored), per_fault_recall(all_scored)

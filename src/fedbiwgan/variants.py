@@ -14,8 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import autodiff as ad
-from .detection import ScoredSample, score_windows
+from .detection import score_windows
 from .federation import TopologySpec, TrainingConfig, run_training
 from .models import OBJECTIVES, ModelConfig, get_objective
 
@@ -30,23 +29,9 @@ class VariantBundle:
         self.critic = critic
         self.model_cfg = model_cfg
 
-    def score(self, windows, gamma, labels=None, faults=None) -> list[ScoredSample]:
-        """score_windows for the bidirectional variants; the critic-only
-        ones are scored by the critic confidence term alone."""
-        x = np.asarray(windows, dtype=np.float64)
-        if self.encoder is not None:
-            return score_windows(x, self.generator, self.encoder, self.critic, gamma,
-                                 labels=labels, faults=faults)
-        n = x.shape[0]
-        raw = self.critic.raw_output(ad.tensor(x.reshape(n, -1))).data[:, 0]
-        l_disc = np.logaddexp(0.0, -raw)
-        return [
-            ScoredSample(window_id=i, score=float(l_disc[i]),
-                         reconstruction_term=0.0, discriminator_term=float(l_disc[i]),
-                         true_label=None if labels is None else int(labels[i]),
-                         fault=None if faults is None else faults[i])
-            for i in range(n)
-        ]
+    def score(self, windows, gamma) -> np.recarray:
+        """score_windows on this variant's models."""
+        return score_windows(windows, self.generator, self.encoder, self.critic, gamma)
 
 
 def train_variant(variant, train_windows, model_cfg: ModelConfig, cfg: TrainingConfig,

@@ -22,7 +22,7 @@ from fedbiwgan.data import (
 from fedbiwgan.detection import (
     ConfusionCounts,
     calibrate_threshold,
-    classify_all,
+    classify,
     evaluate,
     metrics_from_counts,
 )
@@ -281,16 +281,9 @@ def test_variant_ordering_over_seeds(report):
         for variant in ALL_VARIANTS:
             bundle = train_variant(variant, tr, mc, tc, seed)
             vx, vl, _ = _injected_samples(va, inj, 0)
-            scored_val = bundle.score(vx, 0.9)
-            for s, label in zip(scored_val, vl):
-                s.true_label = label
-            th, *_ = calibrate_threshold(scored_val)
+            th, *_ = calibrate_threshold(bundle.score(vx, 0.9).score, vl)
             tx, tl, _ = _injected_samples(te, inj, 1)
-            scored = bundle.score(tx, 0.9)
-            for s, label in zip(scored, tl):
-                s.true_label = label
-            classify_all(scored, th)
-            m = evaluate(scored)
+            m = evaluate(tl, classify(bundle.score(tx, 0.9).score, th))
             f1s[variant].append(m["f1"].value if m["f1"].defined else 0.0)
     means = {v: float(np.mean(f1s[v])) for v in ALL_VARIANTS}
     ours = means["biwgan_gp"]

@@ -3,6 +3,7 @@ exit codes, provenance guards, and cost reports, all at toy scale."""
 
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -120,6 +121,33 @@ def test_detect_without_thresholds_exits_1(trained_run, tmp_path):
     run = tmp_path / "bare"
     assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
     assert main(["detect", "--run", str(run)]) == 1
+
+
+def test_calibrate_gamma_out_of_range_exits_2(trained_run, capsys, monkeypatch):
+    _, run = trained_run
+
+    def no_load(*args):
+        raise AssertionError("a checkpoint was loaded")
+
+    monkeypatch.setattr("fedbiwgan.cli.load_models", no_load)
+    for gamma in ("1.5", "-0.1", "nan"):
+        assert main(["calibrate", "--run", str(run), "--gamma", gamma]) == 2
+        assert "--gamma" in capsys.readouterr().err
+
+
+def test_detect_with_a_monitor_missing_from_thresholds_exits_1(trained_run, tmp_path,
+                                                               capsys):
+    _, run = trained_run
+    assert main(["calibrate", "--run", str(run)]) == 0
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    doc = json.loads((copy / "thresholds.json").read_text())
+    del doc["per_node"]["0.1"]
+    (copy / "thresholds.json").write_text(json.dumps(doc))
+    for command in ("detect", "evaluate"):
+        assert main([command, "--run", str(copy)]) == 1
+        err = capsys.readouterr().err
+        assert "no threshold for monitor 0.1" in err and "thresholds.json" in err
 
 
 def test_nonfinite_critic_exits_1(tmp_path, capsys, monkeypatch):

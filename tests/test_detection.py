@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedbiwgan import autodiff as ad
 from fedbiwgan.detection import (
     ConfusionCounts,
     DetectionError,
-    ScoredSample,
     calibrate_threshold,
     classify,
-    classify_all,
     evaluate,
     metrics_from_counts,
     per_fault_recall,
@@ -81,48 +81,47 @@ def test_score_validation():
         score_windows(np.zeros((1, 2, 2)), g, e, d, gamma=2.0)
     with pytest.raises(DetectionError):
         score_windows(np.zeros((2, 2)), g, e, d, gamma=0.5)
-    assert score_windows(np.zeros((0, 2, 2)), g, e, d, 0.5) == []
+    empty = score_windows(np.zeros((0, 2, 2)), g, e, d, 0.5)
+    assert empty.shape == (0,)
+    assert empty.dtype.names == ("score", "reconstruction_term", "discriminator_term")
+    assert all(empty.dtype[name] == np.float64 for name in empty.dtype.names)
 
 
-def _scored(scores, labels):
-    return [ScoredSample(window_id=i, score=s, reconstruction_term=s,
-                         discriminator_term=0.0, true_label=l)
-            for i, (s, l) in enumerate(zip(scores, labels))]
+def test_score_rows_read_like_columns():
+    # the row-wise reading perfbench makes of every timed call
+    x = np.random.default_rng(1).random((5, 2, 2))
+    out = score_windows(x, *_models(), gamma=0.9)
+    rows = np.array([[s.score, s.reconstruction_term, s.discriminator_term] for s in out])
+    columns = np.column_stack([out.score, out.reconstruction_term, out.discriminator_term])
+    assert rows.dtype == columns.dtype == np.float64
+    assert rows.tobytes() == columns.tobytes()
 
 
 def test_threshold_midpoint():
-    th, mn, ma, degenerate = calibrate_threshold(
-        _scored([0.2, 0.2, 0.8, 0.8], [0, 0, 1, 1]))
+    th, mn, ma, degenerate = calibrate_threshold([0.2, 0.2, 0.8, 0.8], [0, 0, 1, 1])
     assert th == pytest.approx(0.5)
     assert (mn, ma) == (pytest.approx(0.2), pytest.approx(0.8))
     assert not degenerate
 
 
 def test_threshold_degenerate_flagged():
-    th, _, _, degenerate = calibrate_threshold(_scored([0.4, 0.4], [0, 1]))
+    th, _, _, degenerate = calibrate_threshold([0.4, 0.4], [0, 1])
     assert th == pytest.approx(0.4)
     assert degenerate
 
 
 def test_threshold_needs_both_classes():
     with pytest.raises(DetectionError):
-        calibrate_threshold(_scored([0.1], [0]))
+        calibrate_threshold([0.1], [0])
     with pytest.raises(DetectionError):
-        calibrate_threshold(_scored([0.1], [1]))
+        calibrate_threshold([0.1], [1])
 
 
 def test_classify_strictly_greater():
-    s = _scored([0.5], [0])[0]
-    assert classify(s, 0.5) == "normal"
-    s.score = np.nextafter(0.5, 1.0)
-    assert classify(s, 0.5) == "abnormal"
-
-
-def test_classify_all_preserves_order():
-    scored = _scored([0.1, 0.9, 0.5], [0, 1, 0])
-    out = classify_all(scored, 0.4)
-    assert out is scored
-    assert [s.predicted_label for s in out] == [0, 1, 1]
+    assert classify([0.5], 0.5).tolist() == [0]
+    assert classify([np.nextafter(0.5, 1.0)], 0.5).tolist() == [1]
+    # order is kept
+    assert classify([0.1, 0.9, 0.5], 0.4).tolist() == [0, 1, 1]
 
 
 def test_metrics_pinned_table():
@@ -163,23 +162,64 @@ def test_f1_harmonic_identity_random_tables():
 
 
 def test_evaluate_counts_and_errors():
-    scored = _scored([0.1, 0.9, 0.6, 0.2], [0, 1, 0, 1])
-    classify_all(scored, 0.5)
-    m = evaluate(scored)
+    labels = [0, 1, 0, 1]
+    m = evaluate(labels, classify([0.1, 0.9, 0.6, 0.2], 0.5))
     c = m["counts"]
     assert (c.tp, c.tn, c.fp, c.fn) == (1, 1, 1, 1)
     with pytest.raises(DetectionError):
-        evaluate([])
+        evaluate([], [])
     with pytest.raises(DetectionError):
-        evaluate(_scored([0.1], [0]))  # not classified
+        evaluate([0, 1], [0])  # labels and predictions differ in length
 
 
 def test_per_fault_recall():
-    scored = _scored([0.9, 0.2, 0.8, 0.1], [1, 1, 1, 0])
-    scored[0].fault = "memory_leak"
-    scored[1].fault = "memory_leak"
-    scored[2].fault = "disk_io_fault"
-    classify_all(scored, 0.5)
-    fr = per_fault_recall(scored)
+    labels = [1, 1, 1, 0]
+    faults = ["memory_leak", "memory_leak", "disk_io_fault", None]
+    fr = per_fault_recall(labels, classify([0.9, 0.2, 0.8, 0.1], 0.5), faults)
     assert fr["memory_leak"].value == pytest.approx(0.5)
     assert fr["disk_io_fault"].value == pytest.approx(1.0)
+
+
+def _reference_metrics(scores, labels, faults, threshold):
+    """The per-window loops the array metrics replace."""
+    predicted = [int(score > threshold) for score in scores]
+    counts = ConfusionCounts()
+    for label, pred in zip(labels, predicted):
+        if label == 1 and pred == 1:
+            counts.tp += 1
+        elif label == 0 and pred == 0:
+            counts.tn += 1
+        elif label == 0 and pred == 1:
+            counts.fp += 1
+        else:
+            counts.fn += 1
+    recall = {}
+    for fault in sorted({f for f in faults if f}):
+        hits = [p for p, l, f in zip(predicted, labels, faults) if f == fault and l == 1]
+        recall[fault] = sum(hits) / len(hits) if hits else None
+    return predicted, counts, recall
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                          st.sampled_from([None, "memory_leak", "disk_io_fault"])),
+                min_size=2, max_size=40))
+def test_array_metrics_match_a_per_window_loop(windows):
+    scores = np.array([score for score, _ in windows])
+    faults = np.array([fault for _, fault in windows], dtype=object)
+    labels = np.array([int(fault is not None) for fault in faults])
+    labels[0], labels[1] = 0, 1  # both classes, so calibration is defined
+    normal = [s for s, l in zip(scores, labels) if l == 0]
+    abnormal = [s for s, l in zip(scores, labels) if l == 1]
+    mean_normal, mean_abnormal = float(np.mean(normal)), float(np.mean(abnormal))
+    threshold = (mean_normal + mean_abnormal) / 2.0
+    assert calibrate_threshold(scores, labels) == (
+        threshold, mean_normal, mean_abnormal, mean_normal == mean_abnormal)
+
+    # on the grid of scores, the threshold is often a score itself
+    for th in (threshold, *scores[:3]):
+        predicted, counts, recall = _reference_metrics(scores, labels, faults, th)
+        assert classify(scores, th).tolist() == predicted
+        assert evaluate(labels, classify(scores, th))["counts"] == counts
+        got = per_fault_recall(labels, classify(scores, th), faults)
+        assert {k: v.value for k, v in got.items()} == recall

@@ -4,8 +4,9 @@ run_training under its objective."""
 import numpy as np
 import pytest
 
+from fedbiwgan import autodiff as ad
 from fedbiwgan.federation import ManagerNode, TopologySpec, TrainingConfig, run_training
-from fedbiwgan.models import WEIGHT_CLIP, ModelConfig
+from fedbiwgan.models import WEIGHT_CLIP, CriticModel, ModelConfig
 from fedbiwgan.variants import ALL_VARIANTS, train_variant
 
 TINY = ModelConfig(features=3, window=3, latent_dim=2,
@@ -74,6 +75,20 @@ def test_heads_and_scores(variant, head, paired):
     scored = bundle.score(WINDOWS[:6], 0.9)
     assert len(scored) == 6
     assert all(np.isfinite(s.score) for s in scored)
+
+
+def test_window_only_scoring_records_no_graph(monkeypatch):
+    bundle = train_variant("gan", WINDOWS, TINY, CFG, SEED)
+    raw_output = CriticModel.raw_output
+    recording = []
+
+    def spy(self, u):
+        recording.append(ad._record)
+        return raw_output(self, u)
+
+    monkeypatch.setattr(CriticModel, "raw_output", spy)
+    bundle.score(WINDOWS[:6], 0.9)
+    assert recording == [False]
 
 
 def test_unknown_objective_lists_valid_names():
