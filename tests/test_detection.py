@@ -120,8 +120,14 @@ def test_threshold_needs_both_classes():
 def test_classify_strictly_greater():
     assert classify([0.5], 0.5).tolist() == [0]
     assert classify([np.nextafter(0.5, 1.0)], 0.5).tolist() == [1]
-    # order is kept
-    assert classify([0.1, 0.9, 0.5], 0.4).tolist() == [0, 1, 1]
+
+
+def test_classify_all_preserves_order():
+    scores = np.array([0.1, 0.9, 0.5])
+    out = classify(scores, 0.4)
+    assert out.tolist() == [0, 1, 1]
+    assert out.shape == scores.shape
+    assert scores.tolist() == [0.1, 0.9, 0.5]
 
 
 def test_metrics_pinned_table():
