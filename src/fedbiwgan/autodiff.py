@@ -6,11 +6,13 @@ the closures themselves are written in terms of Tensor operations, so a
 backward pass run with `grad(..., create_graph=True)` is itself recorded
 and can be differentiated again (needed for the Lipschitz gradient
 penalty). Every other backward pass, and any code run under
-`no_record()`, records nothing.
+`no_record()`, records nothing. No node reaches itself, so a graph is
+freed by reference count as soon as it is unreachable.
 """
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager, nullcontext
 
 import numpy as np
@@ -34,7 +36,7 @@ def no_record():
 class Tensor:
     """Dense row-major float64 array plus the graph edge that produced it."""
 
-    __slots__ = ("data", "parents", "bwd", "requires_grad")
+    __slots__ = ("data", "parents", "bwd", "requires_grad", "__weakref__")
 
     def __init__(self, data, parents=(), bwd=None, requires_grad=False):
         self.data = data
@@ -152,15 +154,23 @@ def mul(a, b):
     return Tensor(a.data * b.data, (a, b), bwd)
 
 
-def reciprocal(a):
-    out = Tensor(1.0 / a.data, (a,), None)
-
-    def bwd(g):
-        return (neg(mul(g, mul(out, out))),)
-
+def _reads_output(out, bwd):
+    """Give a recorded node the backward bwd(g, out) of an op whose
+    derivative is written in its own output. The closure reaches the node
+    through a weak reference, so the node and its closure are not a
+    reference cycle and a graph is freed as soon as it is unreachable."""
     if out.requires_grad:
-        out.bwd = bwd
+        ref = weakref.ref(out)
+        out.bwd = lambda g: bwd(g, ref())
     return out
+
+
+def reciprocal(a):
+    return _reads_output(Tensor(1.0 / a.data, (a,)), _reciprocal_bwd)
+
+
+def _reciprocal_bwd(g, out):
+    return (neg(mul(g, mul(out, out))),)
 
 
 def div(a, b):
@@ -175,43 +185,37 @@ def matmul(a, b):
 
 
 def transpose(a):
+    """Swap the last two axes: a matrix transpose, or one per leading
+    index of a stack of matrices."""
+
     def bwd(g):
         return (transpose(g),)
 
-    return Tensor(a.data.T, (a,), bwd)
+    return Tensor(a.data.mT, (a,), bwd)
 
 
 def tanh(a):
-    out = Tensor(np.tanh(a.data), (a,), None)
+    return _reads_output(Tensor(np.tanh(a.data), (a,)), _tanh_bwd)
 
-    def bwd(g):
-        return (mul(g, sub(constant(1.0), mul(out, out))),)
 
-    if out.requires_grad:
-        out.bwd = bwd
-    return out
+def _tanh_bwd(g, out):
+    return (mul(g, sub(constant(1.0), mul(out, out))),)
 
 
 def sigmoid(a):
-    out = Tensor(1.0 / (1.0 + np.exp(-a.data)), (a,), None)
+    return _reads_output(Tensor(1.0 / (1.0 + np.exp(-a.data)), (a,)), _sigmoid_bwd)
 
-    def bwd(g):
-        return (mul(g, mul(out, sub(constant(1.0), out))),)
 
-    if out.requires_grad:
-        out.bwd = bwd
-    return out
+def _sigmoid_bwd(g, out):
+    return (mul(g, mul(out, sub(constant(1.0), out))),)
 
 
 def exp(a):
-    out = Tensor(np.exp(a.data), (a,), None)
+    return _reads_output(Tensor(np.exp(a.data), (a,)), _exp_bwd)
 
-    def bwd(g):
-        return (mul(g, out),)
 
-    if out.requires_grad:
-        out.bwd = bwd
-    return out
+def _exp_bwd(g, out):
+    return (mul(g, out),)
 
 
 def log(a):
@@ -303,23 +307,19 @@ def _embed(g, axis, start, shape):
 
 def sqrt_guard(a):
     """Element-wise sqrt whose derivative is defined as 0 where a == 0."""
-    out = Tensor(np.sqrt(a.data), (a,), None)
+    root = np.sqrt(a.data)
     # shift the denominator by 1 exactly where the output is 0; there the
     # incoming cotangent is multiplied by x/denom = 0/1 in every use site,
     # realizing the zero-subgradient convention for the norm
-    mask = constant((out.data == 0.0).astype(np.float64))
-
-    def bwd(g):
-        return (mul(g, mul(constant(0.5), reciprocal(add(out, mask)))),)
-
-    if out.requires_grad:
-        out.bwd = bwd
-    return out
+    mask = constant((root == 0.0).astype(np.float64))
+    return _reads_output(Tensor(root, (a,)),
+                         lambda g, out: (mul(g, mul(constant(0.5), reciprocal(add(out, mask)))),))
 
 
 def l2_norm_rows(a):
-    """Row-wise Euclidean norm of a 2-D tensor; d‖x‖/dx := 0 at x = 0."""
-    return sqrt_guard(tsum(mul(a, a), axis=1))
+    """Euclidean norm over the last axis, one per row of a matrix or of
+    each matrix in a stack; d‖x‖/dx := 0 at x = 0."""
+    return sqrt_guard(tsum(mul(a, a), axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -190,9 +190,14 @@ def cmd_detect(args, with_metrics=False):
     if not th_path.exists():
         raise UsageError(f"{run_dir}: no thresholds.json; run calibrate first")
     th_doc = _read_json(th_path)
+    for key in ("gamma", "config_hash", "per_node"):
+        if not isinstance(th_doc, dict) or key not in th_doc:
+            raise UsageError(f"{th_path}: no {key!r} key; run calibrate again")
+    gamma = th_doc["gamma"]
+    if isinstance(gamma, bool) or not isinstance(gamma, (int, float)) or not 0 <= gamma <= 1:
+        raise UsageError(f"{th_path}: 'gamma' must lie in [0, 1], got {gamma!r}")
     if th_doc["config_hash"] != manifest["config_hash"]:
         raise UsageError("provenance error: thresholds were calibrated for a different config")
-    gamma = th_doc["gamma"]
     bundles, test = _load_bundles(run_dir, manifest, "test")
     thresholds = {}
     for key in bundles:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .models import CriticModel, EncoderModel, GeneratorModel
+from .models import CriticModel, EncoderModel, GeneratorModel, pair_rows
 
 # the row type of score_windows' record arrays
 SCORE_DTYPE = np.dtype([(name, np.float64)
@@ -52,14 +52,13 @@ def score_windows(windows, g: GeneratorModel, e: EncoderModel | None, d: CriticM
     n = x.shape[0]
     if n == 0:
         return np.rec.fromarrays([np.zeros(0)] * 3, dtype=SCORE_DTYPE)
-    flat = x.reshape(n, -1)
     with ad.no_record():
         if e is None:
-            raw = d.raw_output(ad.tensor(flat)).data[:, 0]
+            raw = d.raw_output(ad.tensor(x.reshape(n, -1))).data[:, 0]
         else:
             latent = e(ad.tensor(x)).data
             recon = g(ad.tensor(latent)).data
-            raw = d.raw_output(ad.tensor(np.concatenate([flat, latent], axis=1))).data[:, 0]
+            raw = d.raw_output(ad.tensor(pair_rows(x, latent))).data[:, 0]
     # cross-entropy against target 1: -log sigmoid(raw)
     l_disc = np.logaddexp(0.0, -raw)
     if e is None:

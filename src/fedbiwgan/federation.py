@@ -10,6 +10,7 @@ slice, and distributed with one monitor equals standalone training.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,6 @@ from .models import (
     CriticModel,
     EncoderModel,
     GeneratorModel,
-    JointPair,
     ModelConfig,
     NoiseSpec,
     Objective,
@@ -31,6 +31,7 @@ from .models import (
     eg_local_loss,
     error_feedbacks,
     get_objective,
+    pair_rows,
 )
 from .nn import AdamConfig, AdamState, adam_step
 
@@ -54,6 +55,16 @@ class NonFiniteError(ProtocolError):
 def _require_finite(arrays, what, iteration, node):
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise NonFiniteError(f"non-finite {what} at iteration {iteration} on {node}")
+
+
+def _require_finite_members(arrays, monitors, what, iteration):
+    """_require_finite over a bank's stacked [N, ...] arrays, naming the
+    first monitor whose slice [n] is not finite."""
+    if all(np.all(np.isfinite(a)) for a in arrays):
+        return
+    for n, mon in enumerate(monitors):
+        _require_finite([a[n] for a in arrays], what, iteration,
+                        f"monitor[{mon.slice_id}.{mon.monitor_id}]")
 
 
 @dataclass
@@ -161,7 +172,8 @@ def _seeded_rng(*entropy):
 
 class MonitorNode:
     """Hosts one critic and one training-data shard; the objective sets
-    whether the critic reads whole pairs or windows only."""
+    whether the critic reads whole pairs or windows only. Training steps
+    the critic through its manager's CriticBank."""
 
     def __init__(self, slice_id, monitor_id, shard, model_cfg: ModelConfig,
                  cfg: TrainingConfig, seed, objective: Objective = BIWGAN_GP):
@@ -176,7 +188,6 @@ class MonitorNode:
             model_cfg, _seeded_rng(seed, _SEED_CRITIC, slice_id, monitor_id),
             input_dim=None if objective.joint else model_cfg.window * model_cfg.features,
         )
-        self.adam_state = AdamState.for_params(self.critic.params())
         self.cfg = cfg
         self.stream = _seeded_rng(seed, _SEED_MONITOR_STREAM, slice_id, monitor_id)
 
@@ -186,64 +197,95 @@ class MonitorNode:
 
 
 class ManagerNode:
-    """Hosts the slice's generator and encoder."""
+    """Hosts the slice's generator and encoder; under a window-only
+    objective the encoder is never run."""
 
-    def __init__(self, slice_id, model_cfg: ModelConfig, cfg: TrainingConfig, seed):
+    def __init__(self, slice_id, model_cfg: ModelConfig, cfg: TrainingConfig, seed,
+                 objective: Objective = BIWGAN_GP):
         self.slice_id = slice_id
         self.model_cfg = model_cfg
         self.cfg = cfg
         self.seed = seed
+        self.objective = objective
         rng = _seeded_rng(seed, _SEED_GLOBAL_MODELS)
         self.generator = GeneratorModel(model_cfg, rng)
         self.encoder = EncoderModel(model_cfg, rng)
         self.gen_adam = AdamState.for_params(self.generator.params())
         self.enc_adam = AdamState.for_params(self.encoder.params())
         self.noise_spec = NoiseSpec(cfg.noise, model_cfg.latent_dim)
-        self._tapes = None  # (latent, fake, monitor -> row slice)
+        self._tapes = None  # (latent or None, fake, monitor -> row slice)
 
 
-def monitor_round(monitor: MonitorNode, x_batch, packet: GenPacket, critic_iters, eta):
-    """K critic Adam updates on the received pairs under the monitor's
-    objective (a penalty draws its interpolation weights from the monitor's
-    stream; clipping follows each step), then the local EG loss and
-    per-example error feedbacks computed with the updated critic."""
-    m = x_batch.shape[0]
-    if len(packet.noise) != m:
-        raise ProtocolError(
-            f"batch size mismatch: monitor batch {m}, packet {len(packet.noise)}"
-        )
-    real = JointPair(x_batch, packet.latent_real, "real")
-    fake = JointPair(packet.fake_data, packet.noise, "fake")
-    objective = monitor.objective
-    params = monitor.critic.params()
+class CriticBank:
+    """The critics of one manager's monitors stacked into one CriticModel
+    with [N, out, in] weights and [N, 1, out] biases, stepped by one Adam
+    state. Each monitor's critic parameters become [n] views of the stacked
+    leaves, so the monitors keep their own parameters (and checkpoints)
+    while one graph and one grad call per step serve all N of them."""
+
+    def __init__(self, monitors):
+        self.monitors = list(monitors)
+        first = self.monitors[0]
+        self.objective = first.objective
+        self.cfg = first.cfg
+        self.critic = copy.deepcopy(first.critic)
+        members = [mon.critic.params() for mon in self.monitors]
+        for name, p in self.critic.params().items():
+            stacked = np.stack([params[name].data for params in members])
+            p.data = stacked if stacked.ndim == 3 else stacked[:, None, :]
+            for n, params in enumerate(members):
+                params[name].data = p.data[n].reshape(params[name].data.shape)
+        self.adam = AdamState.for_params(self.critic.params())
+
+
+def monitor_round(bank: CriticBank, batches: dict, packets: dict, critic_iters, eta):
+    """K critic Adam updates for every monitor of the bank on its received
+    pairs under the bank's objective (a penalty draws each monitor's
+    interpolation weights from that monitor's stream; clipping follows
+    each step), then the local EG losses and per-example error feedbacks
+    computed with the updated critics. Returns the feedback packets, last
+    critic losses and EG losses, in monitor order."""
+    monitors = bank.monitors
+    xs = [batches[mon.monitor_id] for mon in monitors]
+    pks = [packets[mon.monitor_id] for mon in monitors]
+    m, iteration = len(xs[0]), pks[0].iteration
+    for mon, x, pk in zip(monitors, xs, pks):
+        if len(x) != m or len(pk.noise) != m:
+            raise ProtocolError(
+                f"batch size mismatch on monitor[{mon.slice_id}.{mon.monitor_id}]: "
+                f"bank batch {m}, monitor batch {len(x)}, packet {len(pk.noise)}"
+            )
+    real = pair_rows(xs, [pk.latent_real for pk in pks])  # [N, M, pair_dim]
+    fake = pair_rows([pk.fake_data for pk in pks], [pk.noise for pk in pks])
+    _require_finite_members([real, fake], monitors, "critic input", iteration)
+    objective = bank.objective
+    params = bank.critic.params()
     last = None
     for _ in range(critic_iters):
-        eps = monitor.stream.uniform(0.0, 1.0, m) if objective.lipschitz == "penalty" else None
-        last = critic_loss(monitor.critic, real, fake, eps, eta, objective)
-        adam_step(params, last.param_grads, monitor.adam_state, monitor.cfg.adam)
+        eps = None
+        if objective.lipschitz == "penalty":
+            eps = np.stack([mon.stream.uniform(0.0, 1.0, m) for mon in monitors])
+        last = critic_loss(bank.critic, real, fake, eps, eta, objective)
+        adam_step(params, last.param_grads, bank.adam, bank.cfg.adam)
         if objective.lipschitz == "clip":
             for p in params.values():
                 np.clip(p.data, -WEIGHT_CLIP, WEIGHT_CLIP, out=p.data)
-        _require_finite([p.data for p in params.values()],
-                        "critic parameters", packet.iteration,
-                        f"monitor[{monitor.slice_id}.{monitor.monitor_id}]")
-    eg = eg_local_loss(monitor.critic, real, fake, objective)
-    f_e, f_g = error_feedbacks(monitor.critic, real, fake, objective)
-    feedback = FeedbackPacket(
-        slice_id=monitor.slice_id,
-        monitor_id=monitor.monitor_id,
-        iteration=packet.iteration,
-        encoder_feedback=f_e,
-        generator_feedback=f_g,
-    )
-    return feedback, last.value, eg
+        _require_finite_members([p.data for p in params.values()], monitors,
+                                "critic parameters", iteration)
+    eg = eg_local_loss(bank.critic, real, fake, objective)
+    f_e, f_g = error_feedbacks(bank.critic, real, fake, objective)
+    feedbacks = [
+        FeedbackPacket(mon.slice_id, mon.monitor_id, iteration, f_e[i], f_g[i])
+        for i, mon in enumerate(monitors)
+    ]
+    return feedbacks, last.value, eg
 
 
 def manager_generate(manager: ManagerNode, batches: dict, iteration) -> dict:
-    """Encode the monitors' batches and generate fake windows from their
-    noise streams, stacked in ascending monitor order into one encoder and
-    one generator pass; keeps the two forward tapes and each monitor's row
-    range for the later chain-rule update."""
+    """Encode the monitors' batches (for a joint critic) and generate fake
+    windows from their noise streams, stacked in ascending monitor order
+    into one encoder and one generator pass; keeps the forward tapes and
+    each monitor's row range for the later chain-rule update."""
     if not batches:
         raise ProtocolError("no monitor batches received")
     manager._tapes = None
@@ -263,7 +305,14 @@ def manager_generate(manager: ManagerNode, batches: dict, iteration) -> dict:
         zs.append(manager.noise_spec.sample(rng, x.shape[0]))
         rows[monitor_id] = slice(start, start + x.shape[0])
         start += x.shape[0]
-    f_t = manager.encoder(ad.tensor(np.concatenate(xs)))
+    x = np.concatenate(xs)
+    if manager.objective.joint:
+        f_t = manager.encoder(ad.tensor(x))
+        latent = f_t.data
+    else:
+        # the critic reads windows only: a zero latent of the encoder's
+        # shape keeps the packets, and so the wire bytes, the same
+        f_t, latent = None, np.zeros((len(x), manager.model_cfg.latent_dim))
     xbar_t = manager.generator(ad.tensor(np.concatenate(zs)))
     manager._tapes = (f_t, xbar_t, rows)
     return {
@@ -271,7 +320,7 @@ def manager_generate(manager: ManagerNode, batches: dict, iteration) -> dict:
             slice_id=manager.slice_id,
             monitor_id=monitor_id,
             iteration=iteration,
-            latent_real=f_t.data[rows[monitor_id]],
+            latent_real=latent[rows[monitor_id]],
             noise=z,
             fake_data=xbar_t.data[rows[monitor_id]],
         )
@@ -320,9 +369,9 @@ def assemble_manager_gradients(manager: ManagerNode, feedbacks: list[FeedbackPac
 
     def backward(model, out, cot):
         params = model.params()
-        if not cot.any():
-            # a window-only critic's feedbacks leave the encoder nothing to
-            # chain-rule; the gradient is zero without a backward pass
+        if out is None:
+            # the encoder did not run (window-only objective): its feedback
+            # columns are zero, and so is its gradient
             return {k: np.zeros_like(p.data) for k, p in params.items()}
         grads = ad.grad(out, list(params.values()), out_grad=cot.reshape(out.data.shape))
         return {k: g.data for k, g in zip(params, grads)}
@@ -408,11 +457,11 @@ class RunResult:
         return manager.generator, manager.encoder, self.monitors[(slice_id, monitor_id)].critic
 
 
-def _slice_iteration(manager, monitors, bus, iteration, traces, ledger, node):
+def _slice_iteration(manager, bank, bus, iteration, traces, ledger, node):
     """One pass of the split-training protocol for a single manager and
-    its monitors; with no bus, nothing is sent."""
+    its monitors' critic bank; with no bus, nothing is sent."""
     batches = {}
-    for mon in monitors:
+    for mon in bank.monitors:
         x = mon.sample_batch()
         if bus is not None:
             msg = bus.send(
@@ -426,7 +475,7 @@ def _slice_iteration(manager, monitors, bus, iteration, traces, ledger, node):
     with PhaseTimer(ledger, "manager_generate"):
         packets = manager_generate(manager, batches, iteration)
     if bus is not None:
-        for mon in monitors:
+        for mon in bank.monitors:
             pk = packets[mon.monitor_id]
             msg = bus.send(
                 wire.Message(wire.MSG_GEN_PACKET, pk.slice_id, pk.monitor_id, iteration,
@@ -437,24 +486,18 @@ def _slice_iteration(manager, monitors, bus, iteration, traces, ledger, node):
                 pk.slice_id, pk.monitor_id, iteration, *msg.tensors
             )
 
-    feedbacks = []
-    d_losses, eg_losses = [], []
     with PhaseTimer(ledger, "monitor_critic"):
-        for mon in monitors:
-            fb, d_loss, eg = monitor_round(
-                mon, batches[mon.monitor_id], packets[mon.monitor_id],
-                mon.cfg.critic_iters, mon.cfg.eta,
-            )
-            if bus is not None:
+        feedbacks, d_losses, eg_losses = monitor_round(
+            bank, batches, packets, manager.cfg.critic_iters, manager.cfg.eta)
+        if bus is not None:
+            for i, fb in enumerate(feedbacks):
                 msg = bus.send(
                     wire.Message(wire.MSG_FEEDBACK, fb.slice_id, fb.monitor_id, iteration,
                                  [fb.encoder_feedback, fb.generator_feedback]),
                     link=f"monitor[{fb.slice_id}.{fb.monitor_id}]->manager[{fb.slice_id}]",
                 )
-                fb = FeedbackPacket(fb.slice_id, fb.monitor_id, iteration, *msg.tensors)
-            feedbacks.append(fb)
-            d_losses.append(d_loss)
-            eg_losses.append(eg)
+                feedbacks[i] = FeedbackPacket(fb.slice_id, fb.monitor_id, iteration,
+                                              *msg.tensors)
 
     with PhaseTimer(ledger, "manager_update"):
         manager_update(manager, feedbacks, iteration)
@@ -469,17 +512,18 @@ def _slice_iteration(manager, monitors, bus, iteration, traces, ledger, node):
 
 def _group_monitors(topology, cfg, model_cfg, shards, seed, bus, objective):
     """The mode as a grouping of monitors under managers, key -> (manager,
-    monitors): one group per slice (distributed, federated), a private
-    manager per monitor (standalone), or one manager over the pooled
-    shards after they are uploaded at iteration 0 (centralized)."""
+    critic bank of its monitors): one group per slice (distributed,
+    federated), a private manager per monitor (standalone), or one manager
+    over the pooled shards after they are uploaded at iteration 0
+    (centralized)."""
     cells = [(s, n) for s in range(topology.slices)
              for n in range(topology.monitors_per_slice)]
 
     def group(s, monitor_shards):
-        return ManagerNode(s, model_cfg, cfg, seed), [
+        return ManagerNode(s, model_cfg, cfg, seed, objective), CriticBank([
             MonitorNode(s, n, shard, model_cfg, cfg, seed, objective)
             for n, shard in monitor_shards
-        ]
+        ])
 
     if cfg.mode == "standalone":
         return {(s, n): group(s, [(n, shards[(s, n)])]) for s, n in cells}
@@ -505,7 +549,8 @@ def _federated_average(groups, bus, iteration):
     controller weighted by each slice's training windows, and download the
     average to every manager."""
     managers = [manager for manager, _ in groups]
-    weights = SliceWeights([sum(mon.shard.shape[0] for mon in mons) for _, mons in groups])
+    weights = SliceWeights([sum(mon.shard.shape[0] for mon in bank.monitors)
+                            for _, bank in groups])
     gen_keys = sorted(managers[0].generator.params())
     enc_keys = sorted(managers[0].encoder.params())
 
@@ -554,9 +599,9 @@ def run_training(topology: TopologySpec, cfg: TrainingConfig, model_cfg: ModelCo
         bus = None  # each manager trains on its own monitor: nothing to send
 
     for i in range(1, cfg.iterations + 1):
-        for key, (manager, monitors) in groups.items():
+        for key, (manager, bank) in groups.items():
             node = f"{key[0]}.{key[1]}" if isinstance(key, tuple) else str(key)
-            _slice_iteration(manager, monitors, bus, i, traces, ledger, node)
+            _slice_iteration(manager, bank, bus, i, traces, ledger, node)
         if cfg.mode == "federated" and i % cfg.local_iters == 0:
             with PhaseTimer(ledger, "aggregation"):
                 _federated_average(list(groups.values()), bus, i)
@@ -565,7 +610,7 @@ def run_training(topology: TopologySpec, cfg: TrainingConfig, model_cfg: ModelCo
         mode=cfg.mode, model_cfg=model_cfg,
         managers={key: manager for key, (manager, _) in groups.items()},
         monitors={(mon.slice_id, mon.monitor_id): mon
-                  for _, monitors in groups.values() for mon in monitors},
+                  for _, bank in groups.values() for mon in bank.monitors},
         traces=traces, ledger=ledger,
     )
     some_manager = next(iter(result.managers.values()))

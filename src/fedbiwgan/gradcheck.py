@@ -16,11 +16,11 @@ from .models import (
     CriticModel,
     EncoderModel,
     GeneratorModel,
-    JointPair,
     ModelConfig,
     critic_loss,
     eg_local_loss,
     error_feedbacks,
+    pair_rows,
 )
 from .nn import Dense, FeedForward, VlstmCell, finite_difference_gradient
 
@@ -76,23 +76,20 @@ def _check_critic_loss(critic, real, fake, eps, eta, objective):
     return _compare(analytic, numeric)
 
 
-def _check_feedbacks(critic, real_flat, fake_flat, cfg, objective):
+def _check_feedbacks(critic, real, fake, objective):
     """error_feedbacks against central differences of eg_local_loss over
-    every input coordinate of the flattened real and fake pairs."""
-    data_len = cfg.window * cfg.features
-
-    def pair(flat, prov):
-        return JointPair(flat[:, :data_len].reshape(-1, cfg.window, cfg.features),
-                         flat[:, data_len:], prov)
-
-    f_e, f_g = error_feedbacks(critic, pair(real_flat, "real"), pair(fake_flat, "fake"),
-                               objective)
+    every input coordinate of the flat real and fake pair rows."""
+    f_e, f_g = error_feedbacks(critic, real, fake, objective)
     numeric = finite_difference_gradient(
-        lambda probe: eg_local_loss(critic, pair(probe["real"], "real"),
-                                    pair(probe["fake"], "fake"), objective),
-        {"real": real_flat, "fake": fake_flat},
+        lambda probe: eg_local_loss(critic, probe["real"], probe["fake"], objective),
+        {"real": real, "fake": fake},
     )
     return _compare({"real": f_e, "fake": f_g}, numeric)
+
+
+def _random_rows(rng, m):
+    """Flat rows of m random pairs of 2x2 windows and 2-d latents."""
+    return pair_rows(rng.standard_normal((m, 2, 2)), rng.standard_normal((m, 2)))
 
 
 class _LstmWrap:
@@ -180,8 +177,7 @@ def run_gradcheck(seed=0, verbose=False):
                            gen_hidden=(3, 3), critic_hidden=(4, 3))
         critic = CriticModel(dcfg, rng)
         m = 3
-        real = JointPair(rng.standard_normal((m, 2, 2)), rng.standard_normal((m, 2)), "real")
-        fake = JointPair(rng.standard_normal((m, 2, 2)), rng.standard_normal((m, 2)), "fake")
+        real, fake = _random_rows(rng, m), _random_rows(rng, m)
         eps = rng.uniform(0.0, 1.0, m)
         record(f"critic_loss[eta={eta}]",
                _check_critic_loss(critic, real, fake, eps, eta, BIWGAN_GP))
@@ -193,8 +189,7 @@ def run_gradcheck(seed=0, verbose=False):
         critic = CriticModel(dcfg, rng)
         real_flat = rng.standard_normal((m, dcfg.pair_dim))
         fake_flat = rng.standard_normal((m, dcfg.pair_dim))
-        record(f"feedbacks[M={m}]", _check_feedbacks(critic, real_flat, fake_flat, dcfg,
-                                                     BIWGAN_GP))
+        record(f"feedbacks[M={m}]", _check_feedbacks(critic, real_flat, fake_flat, BIWGAN_GP))
 
     # every objective: its critic loss and the feedbacks that train G and E
     for name, objective in OBJECTIVES.items():
@@ -204,12 +199,11 @@ def run_gradcheck(seed=0, verbose=False):
         critic = CriticModel(dcfg, rng, input_dim=None if objective.joint
                              else dcfg.window * dcfg.features)
         m = 3
-        real = JointPair(rng.standard_normal((m, 2, 2)), rng.standard_normal((m, 2)), "real")
-        fake = JointPair(rng.standard_normal((m, 2, 2)), rng.standard_normal((m, 2)), "fake")
+        real, fake = _random_rows(rng, m), _random_rows(rng, m)
         eps = rng.uniform(0.0, 1.0, m)
         record(f"critic_loss[{name}]",
                _check_critic_loss(critic, real, fake, eps, 10.0, objective))
         record(f"feedbacks[{name}]",
-               _check_feedbacks(critic, real.flat(), fake.flat(), dcfg, objective))
+               _check_feedbacks(critic, real, fake, objective))
 
     return max(err for _, err in results)

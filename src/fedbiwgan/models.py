@@ -2,9 +2,9 @@
 feedbacks, for BiWGAN-GP and the four GAN-family objectives it is compared
 against.
 
-The critic scores flattened joint pairs: the data window row-major first,
-then the latent vector. That flattening order is fixed; packets, feedbacks
-and checkpoints all rely on it.
+The critic scores flattened joint pairs (`pair_rows`): the data window
+row-major first, then the latent vector. That flattening order is fixed;
+packets, feedbacks and checkpoints all rely on it.
 """
 
 from __future__ import annotations
@@ -150,7 +150,8 @@ class EncoderModel:
 class CriticModel:
     """Three dense layers scoring a flattened joint pair with one scalar
     per example. head_mode 'linear' is the Wasserstein critic; 'sigmoid'
-    reproduces a probability head."""
+    reproduces a probability head. With [N, out, in] weights and
+    [N, 1, out] biases it is a stack of N critics over [N, M, in] rows."""
 
     def __init__(self, cfg: ModelConfig, rng, input_dim=None, name="d"):
         self.cfg = cfg
@@ -184,37 +185,7 @@ class CriticModel:
 
 
 # ---------------------------------------------------------------------------
-# joint pairs
-
-
-@dataclass
-class JointPair:
-    """A batch of (window, latent) pairs with a declared provenance."""
-
-    data_part: np.ndarray  # [batch, window, features]
-    latent_part: np.ndarray  # [batch, latent_dim]
-    provenance: str  # real | fake | interpolated
-
-    def __post_init__(self):
-        self.data_part = np.asarray(self.data_part, dtype=np.float64)
-        self.latent_part = np.asarray(self.latent_part, dtype=np.float64)
-        if self.provenance not in ("real", "fake", "interpolated"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.data_part.shape[0] != self.latent_part.shape[0]:
-            raise ShapeError("data/latent batch sizes differ")
-        if not (np.all(np.isfinite(self.data_part)) and np.all(np.isfinite(self.latent_part))):
-            raise ValueError("joint pair entries must be finite")
-
-    @property
-    def batch(self):
-        return self.data_part.shape[0]
-
-    def flat(self):
-        """Row-major window first, then latent vector."""
-        b = self.batch
-        return np.concatenate(
-            [self.data_part.reshape(b, -1), self.latent_part], axis=1
-        )
+# critic rows
 
 
 def generate(g: GeneratorModel, z) -> np.ndarray:
@@ -227,19 +198,25 @@ def encode(e: EncoderModel, x) -> np.ndarray:
         return e(ad.tensor(np.asarray(x, dtype=np.float64))).data
 
 
-def interpolate(real: JointPair, fake: JointPair, eps) -> JointPair:
+def pair_rows(windows, latent) -> np.ndarray:
+    """Flat critic rows of (window, latent) pairs in the fixed order: the
+    window row-major, then the latent vector. [..., M, t, features]
+    windows and [..., M, latent_dim] latents give [..., M, pair_dim] rows."""
+    latent = np.asarray(latent, dtype=np.float64)
+    return np.concatenate([np.reshape(windows, latent.shape[:-1] + (-1,)), latent], axis=-1)
+
+
+def interpolate(real, fake, eps) -> np.ndarray:
+    """Rows eps * real + (1 - eps) * fake, one weight per row: [..., M]
+    weights for [..., M, width] rows."""
     eps = np.asarray(eps, dtype=np.float64)
     if np.any(eps < 0) or np.any(eps > 1):
         raise ValueError("interpolation epsilon must lie in [0, 1]")
-    if real.data_part.shape != fake.data_part.shape:
-        raise ShapeError("real/fake shapes differ")
-    e_data = eps.reshape(-1, *([1] * (real.data_part.ndim - 1)))
-    e_lat = eps.reshape(-1, *([1] * (real.latent_part.ndim - 1)))
-    return JointPair(
-        data_part=e_data * real.data_part + (1 - e_data) * fake.data_part,
-        latent_part=e_lat * real.latent_part + (1 - e_lat) * fake.latent_part,
-        provenance="interpolated",
-    )
+    if real.shape != fake.shape or eps.shape != real.shape[:-1]:
+        raise ShapeError(f"cannot interpolate {real.shape} and {fake.shape} rows "
+                         f"with {eps.shape} weights")
+    e = eps[..., None]
+    return e * real + (1 - e) * fake
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +261,10 @@ def get_objective(name) -> Objective:
     return OBJECTIVES[name]
 
 
-def _critic_input(pair: JointPair, objective: Objective) -> np.ndarray:
-    """The rows a critic of this objective scores: the flattened pair, or
-    the flattened window alone."""
-    return pair.flat() if objective.joint else pair.data_part.reshape(pair.batch, -1)
+def _critic_input(d, rows, objective: Objective) -> np.ndarray:
+    """The part of flat pair rows a critic of this objective scores: all of
+    it, or the window columns alone."""
+    return rows if objective.joint else np.ascontiguousarray(rows[..., :d.input_dim])
 
 
 # ---------------------------------------------------------------------------
@@ -296,72 +273,73 @@ def _critic_input(pair: JointPair, objective: Objective) -> np.ndarray:
 
 @dataclass
 class CriticLossResult:
+    """Loss, penalty and parameter gradients of one critic step; a stacked
+    critic's value and penalty are [N] arrays."""
+
     value: float
     penalty: float
     param_grads: dict
 
 
-def critic_loss(d: CriticModel, real: JointPair, fake: JointPair, eps, eta,
+def critic_loss(d: CriticModel, real, fake, eps, eta,
                 objective: Objective = BIWGAN_GP) -> CriticLossResult:
     """The minimized critic objective -value, plus for "penalty"
-    objectives eta * mean[(‖∇D(interp)‖ - 1)²]."""
-    if real.batch == 0:
-        raise ValueError("empty batch")
-    if real.batch != fake.batch:
-        raise ShapeError("real/fake batch sizes differ")
-    value, _, _ = _eg_graph(d, real, fake, objective)
+    objectives eta * mean[(‖∇D(interp)‖ - 1)²], on flat real and fake
+    pair rows [..., M, pair_dim] with interpolation weights [..., M]. A
+    critic stacked over [N, M, pair_dim] rows gets one value and one
+    penalty per member."""
+    value, u_real, u_fake = _eg_graph(d, real, fake, objective)
     loss = ad.neg(value)
     penalty = 0.0
     if objective.lipschitz == "penalty":
-        x_hat = _critic_input(interpolate(real, fake, eps), objective)
-        penalty_t = gradient_penalty(d, x_hat, eta)
+        penalty_t = gradient_penalty(d, interpolate(u_real.data, u_fake.data, eps), eta)
         loss = ad.add(loss, penalty_t)
-        penalty = float(penalty_t.data)
+        penalty = penalty_t.data[()]
     params = d.params()
     names = list(params)
     grads = ad.grad(loss, [params[k] for k in names])
     return CriticLossResult(
-        value=float(loss.data),
+        value=loss.data[()],
         penalty=penalty,
         param_grads={k: g.data for k, g in zip(names, grads)},
     )
 
 
-def _eg_graph(d: CriticModel, real: JointPair, fake: JointPair, objective: Objective):
-    u_real = ad.tensor(_critic_input(real, objective), requires_grad=True)
-    u_fake = ad.tensor(_critic_input(fake, objective), requires_grad=True)
+def _eg_graph(d: CriticModel, real, fake, objective: Objective):
+    if real.shape != fake.shape:
+        raise ShapeError(f"real rows {real.shape} and fake rows {fake.shape} differ")
+    if real.shape[-2] == 0:
+        raise ValueError("empty batch")
+    u_real = ad.tensor(_critic_input(d, real, objective), requires_grad=True)
+    u_fake = ad.tensor(_critic_input(d, fake, objective), requires_grad=True)
+    rows = (-2, -1)  # the mean over each critic's [M, 1] outputs
     if objective.value == "wasserstein":
-        value = ad.tmean(ad.sub(d(u_real), d(u_fake)))
+        value = ad.tmean(ad.sub(d(u_real), d(u_fake)), axis=rows)
     else:
         value = ad.add(
-            ad.tmean(ad.log(d(u_real))),
-            ad.tmean(ad.log(ad.sub(ad.constant(1.0), d(u_fake)))),
+            ad.tmean(ad.log(d(u_real)), axis=rows),
+            ad.tmean(ad.log(ad.sub(ad.constant(1.0), d(u_fake))), axis=rows),
         )
     return value, u_real, u_fake
 
 
-def eg_local_loss(d: CriticModel, real: JointPair, fake: JointPair,
-                  objective: Objective = BIWGAN_GP) -> float:
-    """The objective's value on the batch, e.g. mean D(real) - D(fake)."""
-    if real.batch == 0:
-        raise ValueError("empty batch")
+def eg_local_loss(d: CriticModel, real, fake, objective: Objective = BIWGAN_GP):
+    """The objective's value on flat pair rows, e.g. mean D(real) - D(fake):
+    a float for one critic, an [N] array for a stacked one."""
     with ad.no_record():
         value, _, _ = _eg_graph(d, real, fake, objective)
-    return float(value.data)
+    return value.data[()]
 
 
-def error_feedbacks(d: CriticModel, real: JointPair, fake: JointPair,
-                    objective: Objective = BIWGAN_GP):
+def error_feedbacks(d: CriticModel, real, fake, objective: Objective = BIWGAN_GP):
     """Per-example gradients of the local EG loss w.r.t. the critic's
-    inputs: (F_E rows for real pairs, F_G rows for fake pairs), each
-    [batch, window*features + latent_dim] in flattening order. A
+    inputs: (F_E rows for real pairs, F_G rows for fake pairs), each shaped
+    like the flat pair rows [..., M, window*features + latent_dim]. A
     window-only critic's rows are zero in the latent columns."""
-    if real.batch == 0:
-        raise ValueError("empty batch")
     value, u_real, u_fake = _eg_graph(d, real, fake, objective)
     g_real, g_fake = ad.grad(value, [u_real, u_fake])
     if objective.joint:
         return g_real.data, g_fake.data
-    zeros = np.zeros_like(real.latent_part)
-    return (np.concatenate([g_real.data, zeros], axis=1),
-            np.concatenate([g_fake.data, zeros], axis=1))
+    zeros = np.zeros(real.shape[:-1] + (real.shape[-1] - d.input_dim,))
+    return (np.concatenate([g_real.data, zeros], axis=-1),
+            np.concatenate([g_fake.data, zeros], axis=-1))

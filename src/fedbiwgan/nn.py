@@ -147,13 +147,15 @@ class FeedForward:
 
 def gradient_penalty(critic, x_hat, eta) -> Tensor:
     """Penalty eta*mean((‖∇_u D(u)‖₂ - 1)²) over the rows of x_hat, as a
-    graph whose parameter gradients are exact via double backprop."""
+    graph whose parameter gradients are exact via double backprop. The
+    mean runs over the row axis, so a stack of critics over [N, M, in]
+    rows gets one penalty per member."""
     if eta < 0:
         raise ValueError("penalty coefficient must be non-negative")
     u = ad.tensor(np.asarray(x_hat, dtype=np.float64), requires_grad=True)
     g_input = ad.grad(ad.tsum(critic(u)), [u], create_graph=True)[0]
     gap = ad.sub(ad.l2_norm_rows(g_input), ad.constant(1.0))
-    return ad.mul(ad.constant(float(eta)), ad.tmean(ad.mul(gap, gap)))
+    return ad.mul(ad.constant(float(eta)), ad.tmean(ad.mul(gap, gap), axis=-1))
 
 
 def gradient_penalty_backward(critic, x_hat, eta):

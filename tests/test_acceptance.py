@@ -34,6 +34,7 @@ from fedbiwgan.experiment import (
     train_experiment,
 )
 from fedbiwgan.federation import (
+    CriticBank,
     ManagerNode,
     MonitorNode,
     SliceWeights,
@@ -47,7 +48,7 @@ from fedbiwgan.federation import (
 )
 from fedbiwgan.gradcheck import run_gradcheck
 from fedbiwgan.ledger import flop_estimates
-from fedbiwgan.models import JointPair, ModelConfig, critic_loss, error_feedbacks
+from fedbiwgan.models import ModelConfig, critic_loss, error_feedbacks, pair_rows
 from fedbiwgan.nn import gradient_penalty_backward
 from fedbiwgan.variants import ALL_VARIANTS, train_variant
 from fedbiwgan.config import resolve_experiment
@@ -120,8 +121,8 @@ class _LinearRowCritic:
 def test_linear_critic_closed_forms(report):
     # w=[2,0]: D(real)=6, D(fake)=2, penalty 10*(2-1)^2 -> loss -(6-2)+10
     d = _LinearRowCritic([[2.0, 0.0]])
-    real = JointPair(np.array([[[3.0]]]), np.array([[0.0]]), "real")
-    fake = JointPair(np.array([[[1.0]]]), np.array([[0.0]]), "fake")
+    real = pair_rows(np.array([[[3.0]]]), np.array([[0.0]]))
+    fake = pair_rows(np.array([[[1.0]]]), np.array([[0.0]]))
     res = critic_loss(d, real, fake, np.array([0.5]), 10.0)
     err = max(abs(res.value - 6.0), abs(res.penalty - 10.0))
 
@@ -129,10 +130,8 @@ def test_linear_critic_closed_forms(report):
     w = np.array([[2.0, -3.0]])
     d2 = _LinearRowCritic(w)
     m = 4
-    real_m = JointPair(np.arange(m, dtype=float).reshape(m, 1, 1),
-                       np.zeros((m, 1)), "real")
-    fake_m = JointPair(np.arange(m, dtype=float).reshape(m, 1, 1) + 1,
-                       np.zeros((m, 1)), "fake")
+    real_m = pair_rows(np.arange(m, dtype=float).reshape(m, 1, 1), np.zeros((m, 1)))
+    fake_m = pair_rows(np.arange(m, dtype=float).reshape(m, 1, 1) + 1, np.zeros((m, 1)))
     f_e, f_g = error_feedbacks(d2, real_m, fake_m)
     err = max(err, float(np.max(np.abs(f_e - w / m))),
               float(np.max(np.abs(f_g + w / m))))
@@ -178,11 +177,7 @@ def test_feedback_assembly_matches_direct_backprop(report):
                     for n in range(n_monitors)]
         batches = {mon.monitor_id: mon.sample_batch() for mon in monitors}
         packets = manager_generate(manager, batches, 1)
-        feedbacks = []
-        for mon in monitors:
-            fb, *_ = monitor_round(mon, batches[mon.monitor_id],
-                                   packets[mon.monitor_id], 1, cfg.eta)
-            feedbacks.append(fb)
+        feedbacks, *_ = monitor_round(CriticBank(monitors), batches, packets, 1, cfg.eta)
         g_grads, e_grads = assemble_manager_gradients(manager, feedbacks, 1)
         ref = _direct_eg_grads(manager, monitors, batches, packets)
         for (tag, k), r in ref.items():

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,100 @@ def test_operator_sugar():
     out = ad.tsum((x * 2 + 1 - x) / 2)
     np.testing.assert_allclose(out.data, 2.0)
     np.testing.assert_allclose(_g(out, x), [0.5])
+
+
+# ---------------------------------------------------------------------------
+# stacked (batched) matrices: a leading axis of N independent problems
+
+
+def _numeric_grad(f, x, h=1e-6):
+    """Central differences of the scalar f over every entry of x."""
+    g = np.zeros_like(x)
+    for i in np.ndindex(x.shape):
+        up, down = x.copy(), x.copy()
+        up[i] += h
+        down[i] -= h
+        g[i] = (f(up) - f(down)) / (2 * h)
+    return g
+
+
+def _value(fn, *arrays):
+    return float(fn(*(ad.tensor(a) for a in arrays)).data)
+
+
+def _batched_layer(u, w):
+    """sum(tanh(u @ w^T)) over [N, M, D] rows and [N, O, D] weights."""
+    return ad.tsum(ad.tanh(ad.matmul(u, ad.transpose(w))))
+
+
+def _batched_penalty(u, w):
+    """sum over all rows of (‖∇_u layer‖ - 1)², the penalty's shape."""
+    u = ad.Tensor(u.data, requires_grad=True)
+    g = ad.grad(_batched_layer(u, w), [u], create_graph=True)[0]
+    gap = ad.sub(ad.l2_norm_rows(g), ad.constant(1.0))
+    return ad.tsum(ad.mul(gap, gap))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_batched_matmul_transpose_norm_first_order(n):
+    rng = np.random.default_rng(n)
+    u0, w0 = rng.standard_normal((n, 4, 3)), rng.standard_normal((n, 2, 3))
+    u, w = ad.tensor(u0, requires_grad=True), ad.tensor(w0, requires_grad=True)
+    assert ad.transpose(w).data.shape == (n, 3, 2)
+    gu, gw = (t.data for t in ad.grad(_batched_layer(u, w), [u, w]))
+    np.testing.assert_allclose(gu, _numeric_grad(lambda a: _value(_batched_layer, a, w0), u0),
+                               atol=1e-8)
+    np.testing.assert_allclose(gw, _numeric_grad(lambda b: _value(_batched_layer, u0, b), w0),
+                               atol=1e-8)
+
+    def norms(x):
+        return ad.tsum(ad.mul(ad.l2_norm_rows(x), ad.constant(np.arange(4.0) + 1)))
+
+    assert ad.l2_norm_rows(u).data.shape == (n, 4)
+    np.testing.assert_allclose(ad.grad(norms(u), [u])[0].data,
+                               _numeric_grad(lambda a: _value(norms, a), u0), atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_batched_matmul_transpose_norm_second_order(n):
+    # parameter gradient of an input-gradient norm: double backprop
+    # through batched matmul, transpose and l2_norm_rows
+    rng = np.random.default_rng(10 + n)
+    u0, w0 = rng.standard_normal((n, 4, 3)), rng.standard_normal((n, 2, 3))
+    w = ad.tensor(w0, requires_grad=True)
+    gw = ad.grad(_batched_penalty(ad.tensor(u0), w), [w])[0].data
+    np.testing.assert_allclose(
+        gw, _numeric_grad(lambda b: _value(_batched_penalty, u0, b), w0), atol=1e-7)
+
+
+def test_batched_members_do_not_mix():
+    # member n's gradients depend on member n's inputs only
+    rng = np.random.default_rng(3)
+    u0, w0 = rng.standard_normal((3, 4, 3)), rng.standard_normal((3, 2, 3))
+    w = ad.tensor(w0, requires_grad=True)
+    full = ad.grad(_batched_penalty(ad.tensor(u0), w), [w])[0].data
+    for i in range(3):
+        wi = ad.tensor(w0[i:i + 1], requires_grad=True)
+        alone = ad.grad(_batched_penalty(ad.tensor(u0[i:i + 1]), wi), [wi])[0].data
+        np.testing.assert_array_equal(full[i:i + 1], alone)
+
+
+def test_training_leaves_no_reference_cycles():
+    # no backward closure holds its own node, so a training iteration's
+    # graphs are freed by reference count, with nothing left for gc
+    from fedbiwgan.federation import TopologySpec, TrainingConfig, run_training
+    from fedbiwgan.models import ModelConfig
+
+    model = ModelConfig(features=3, window=3, latent_dim=2, gen_hidden=(3, 3),
+                        critic_hidden=(4, 3))
+    rng = np.random.default_rng(0)
+    shards = {(s, n): rng.random((10, 3, 3)) for s in range(2) for n in range(2)}
+    cfg = TrainingConfig(mode="federated", iterations=1, critic_iters=2, local_iters=1,
+                         batch_size=4)
+    gc.collect()
+    gc.disable()
+    try:
+        run_training(TopologySpec(2, 2), cfg, model, shards, 0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

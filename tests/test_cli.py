@@ -150,6 +150,27 @@ def test_detect_with_a_monitor_missing_from_thresholds_exits_1(trained_run, tmp_
         assert "no threshold for monitor 0.1" in err and "thresholds.json" in err
 
 
+@pytest.mark.parametrize("key, value", [("gamma", None), ("config_hash", None),
+                                        ("per_node", None), ("gamma", 1.5)],
+                         ids=["gamma", "config_hash", "per_node", "gamma-range"])
+def test_detect_with_a_bad_thresholds_key_exits_1(trained_run, tmp_path, capsys, key, value):
+    _, run = trained_run
+    assert main(["calibrate", "--run", str(run)]) == 0
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    doc = json.loads((copy / "thresholds.json").read_text())
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    (copy / "thresholds.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    for command in ("detect", "evaluate"):
+        assert main([command, "--run", str(copy)]) == 1
+        err = capsys.readouterr().err
+        assert "thresholds.json" in err and repr(key) in err, err
+
+
 def test_nonfinite_critic_exits_1(tmp_path, capsys, monkeypatch):
     init = MonitorNode.__init__
 

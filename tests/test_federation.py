@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedbiwgan import autodiff as ad
 from fedbiwgan import federation
 from fedbiwgan.federation import (
     Bus,
+    CriticBank,
     FeedbackPacket,
     GenPacket,
     ManagerNode,
@@ -23,7 +28,7 @@ from fedbiwgan.federation import (
     run_training,
 )
 from fedbiwgan.ledger import CostLedger
-from fedbiwgan.models import EncoderModel, GeneratorModel, JointPair, ModelConfig
+from fedbiwgan.models import OBJECTIVES, EncoderModel, GeneratorModel, ModelConfig
 
 SMALL = ModelConfig(features=3, window=3, latent_dim=2,
                     gen_hidden=(3, 3), critic_hidden=(4, 3))
@@ -102,6 +107,14 @@ def _packet_for(monitor, manager, iteration=1):
     return batches, manager_generate(manager, batches, iteration)
 
 
+def _round(monitor, x, packet, critic_iters, eta):
+    """monitor_round on a bank of one: (feedback, d_loss, eg_loss)."""
+    feedbacks, d_losses, eg_losses = monitor_round(
+        CriticBank([monitor]), {monitor.monitor_id: x}, {monitor.monitor_id: packet},
+        critic_iters, eta)
+    return feedbacks[0], d_losses[0], eg_losses[0]
+
+
 def test_monitor_round_zero_critic_stays_zero():
     # a fully zero critic has zero Eq-16 gradients (head activations cancel
     # and the penalty sits at the zero-norm subgradient), so one critic
@@ -112,7 +125,7 @@ def test_monitor_round_zero_critic_stays_zero():
         p.data[...] = 0.0
     manager = ManagerNode(0, SMALL, cfg, 3)
     batches, packets = _packet_for(monitor, manager)
-    monitor_round(monitor, batches[0], packets[0], 1, cfg.eta)
+    _round(monitor, batches[0], packets[0], 1, cfg.eta)
     assert all(np.all(p.data == 0) for p in monitor.critic.params().values())
 
 
@@ -122,7 +135,7 @@ def test_feedbacks_antisymmetric_when_pairs_coincide():
     x = monitor.sample_batch()
     z = np.random.default_rng(9).standard_normal((x.shape[0], SMALL.latent_dim))
     packet = GenPacket(0, 0, 1, latent_real=z, noise=z, fake_data=x)
-    fb, _, eg = monitor_round(monitor, x, packet, 1, cfg.eta)
+    fb, _, eg = _round(monitor, x, packet, 1, cfg.eta)
     assert eg == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(fb.encoder_feedback, -fb.generator_feedback, atol=1e-12)
 
@@ -134,7 +147,7 @@ def test_identical_monitors_produce_identical_feedbacks():
         monitor = _monitor(seed=3, cfg=cfg)
         manager = ManagerNode(0, SMALL, cfg, 3)
         batches, packets = _packet_for(monitor, manager)
-        fb, *_ = monitor_round(monitor, batches[0], packets[0], cfg.critic_iters, cfg.eta)
+        fb, *_ = _round(monitor, batches[0], packets[0], cfg.critic_iters, cfg.eta)
         results.append(fb)
     np.testing.assert_array_equal(results[0].encoder_feedback, results[1].encoder_feedback)
     np.testing.assert_array_equal(results[0].generator_feedback, results[1].generator_feedback)
@@ -146,7 +159,83 @@ def test_monitor_round_batch_mismatch():
     packet = GenPacket(0, 0, 1, np.zeros((2, 2)), np.zeros((2, 2)),
                        np.zeros((2, 3, 3)))
     with pytest.raises(ProtocolError):
-        monitor_round(monitor, monitor.sample_batch(), packet, 1, cfg.eta)
+        _round(monitor, monitor.sample_batch(), packet, 1, cfg.eta)
+
+
+def _bank_case(n, m, objective, seed):
+    """n monitors with their batches and received packets, built afresh
+    from the seed so two calls give identical nodes and streams."""
+    model = ModelConfig(features=2, window=2, latent_dim=2, gen_hidden=(3, 3),
+                        critic_hidden=(4, 3),
+                        head_mode="sigmoid" if objective.value == "minimax" else "linear")
+    cfg = _cfg(batch_size=m)
+    rng = np.random.default_rng(seed)
+    monitors = [MonitorNode(0, i, rng.random((6, 2, 2)), model, cfg, seed, objective)
+                for i in range(n)]
+    batches = {mon.monitor_id: mon.sample_batch() for mon in monitors}
+    packets = {mon.monitor_id: GenPacket(0, mon.monitor_id, 1, rng.standard_normal((m, 2)),
+                                         rng.standard_normal((m, 2)), rng.random((m, 2, 2)))
+               for mon in monitors}
+    return monitors, batches, packets, cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(1, 5), k=st.integers(1, 3),
+       name=st.sampled_from(sorted(OBJECTIVES)), seed=st.integers(0, 2**16))
+def test_bank_round_equals_one_critic_rounds(n, m, k, name, seed):
+    # one round over a bank of n critics gives, bit for bit, what n rounds
+    # over banks of one give: feedbacks, losses and the stepped critics
+    objective = OBJECTIVES[name]
+    monitors, batches, packets, cfg = _bank_case(n, m, objective, seed)
+    feedbacks, d_losses, eg_losses = monitor_round(CriticBank(monitors), batches, packets,
+                                                   k, cfg.eta)
+    alone, _, _, _ = _bank_case(n, m, objective, seed)
+    for i, mon in enumerate(alone):
+        fb, d_loss, eg = monitor_round(CriticBank([mon]), batches, packets, k, cfg.eta)
+        np.testing.assert_array_equal(feedbacks[i].encoder_feedback, fb[0].encoder_feedback)
+        np.testing.assert_array_equal(feedbacks[i].generator_feedback,
+                                      fb[0].generator_feedback)
+        assert (feedbacks[i].slice_id, feedbacks[i].monitor_id) == (0, mon.monitor_id)
+        assert d_losses[i] == d_loss[0] and eg_losses[i] == eg[0]
+        banked = monitors[i].critic.params()
+        for key, p in mon.critic.params().items():
+            np.testing.assert_array_equal(banked[key].data, p.data)
+
+
+def test_bank_names_the_monitor_with_a_nonfinite_critic():
+    monitors, batches, packets, cfg = _bank_case(3, 4, OBJECTIVES["biwgan_gp"], 0)
+    bank = CriticBank(monitors)
+    monitors[1].critic.params()["d/layer1/weights"].data[0, 0] = np.nan  # a view of the bank
+    with pytest.raises(NonFiniteError,
+                       match=r"non-finite critic parameters at iteration 1 on monitor\[0\.1\]"):
+        monitor_round(bank, batches, packets, 1, cfg.eta)
+
+
+def test_bank_names_the_monitor_with_nonfinite_inputs():
+    monitors, batches, packets, cfg = _bank_case(3, 4, OBJECTIVES["biwgan_gp"], 0)
+    packets[2].fake_data[0, 0, 0] = np.inf
+    with pytest.raises(NonFiniteError,
+                       match=r"non-finite critic input at iteration 1 on monitor\[0\.2\]"):
+        monitor_round(CriticBank(monitors), batches, packets, 1, cfg.eta)
+
+
+def test_bank_needs_equal_batch_rows():
+    monitors, batches, packets, cfg = _bank_case(2, 4, OBJECTIVES["biwgan_gp"], 0)
+    batches[1] = batches[1][:3]
+    with pytest.raises(ProtocolError, match=r"monitor\[0\.1\]"):
+        monitor_round(CriticBank(monitors), batches, packets, 1, cfg.eta)
+
+
+def test_monitor_critics_are_views_of_the_bank():
+    monitors, *_ = _bank_case(2, 4, OBJECTIVES["biwgan_gp"], 0)
+    before = [{k: p.data.copy() for k, p in mon.critic.params().items()} for mon in monitors]
+    bank = CriticBank(monitors)
+    for key, p in bank.critic.params().items():
+        assert p.data.shape[0] == 2 and p.data.ndim == 3
+        for i, mon in enumerate(monitors):
+            member = mon.critic.params()[key].data
+            np.testing.assert_array_equal(member, before[i][key])
+            assert np.shares_memory(member, p.data)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +273,27 @@ def test_noise_streams_no_collisions():
     expected = rng.standard_normal((1, SMALL.latent_dim))
     np.testing.assert_array_equal(
         manager_generate(manager, {0: np.zeros((1, 3, 3))}, 1)[0].noise, expected)
+
+
+@pytest.mark.parametrize("name", ["gan", "biwgan_gp"])
+def test_encoder_runs_only_for_joint_objectives(monkeypatch, name):
+    calls = []
+    forward = EncoderModel.__call__
+
+    def counted(self, x):
+        calls.append(x)
+        return forward(self, x)
+
+    monkeypatch.setattr(EncoderModel, "__call__", counted)
+    topo = TopologySpec(1, 2)
+    objective = OBJECTIVES[name]
+    model = replace(SMALL, head_mode="sigmoid" if objective.value == "minimax" else "linear")
+    res = run_training(topo, _cfg(mode="federated", iterations=2), model, _shards(topo), 0,
+                       name)
+    assert len(calls) == (2 if objective.joint else 0)
+    # the window-only critic's packets carry a zero latent of the same shape
+    latent_bytes = [r["payload_bytes"] for r in res.ledger.records if r["kind"] == "gen_packet"]
+    assert latent_bytes == [8 * 4 * (2 * SMALL.latent_dim + SMALL.window * SMALL.features)] * 4
 
 
 def test_manager_generate_rejects_empty():
@@ -236,11 +346,12 @@ def test_assembled_gradients_match_end_to_end(rows):
     batches = {mon.monitor_id: mon.shard[mon.stream.integers(0, 15, m)]
                for mon, m in zip(monitors, rows)}
     packets = manager_generate(manager, batches, 1)
+    # a bank needs equal batch rows: unequal batches run one bank each
+    banks = [monitors] if len(set(rows)) == 1 else [[mon] for mon in monitors]
     feedbacks = []
-    for mon in monitors:
-        fb, *_ = monitor_round(mon, batches[mon.monitor_id], packets[mon.monitor_id],
-                               cfg.critic_iters, cfg.eta)
-        feedbacks.append(fb)
+    for bank in banks:
+        feedbacks += monitor_round(CriticBank(bank), batches, packets, cfg.critic_iters,
+                                   cfg.eta)[0]
     g_grads, e_grads = assemble_manager_gradients(manager, feedbacks, 1)
     ref_g, ref_e = _end_to_end_eg_grads(manager, monitors, batches, packets, 1)
     for k in ref_g:
@@ -270,7 +381,7 @@ def test_second_monitor_zero_feedback_halves_gradients():
     batch = mon.sample_batch()
 
     packets = manager_generate(manager, {0: batch}, 1)
-    fb, *_ = monitor_round(mon, batch, packets[0], 1, cfg.eta)
+    fb, *_ = _round(mon, batch, packets[0], 1, cfg.eta)
     g1, e1 = assemble_manager_gradients(manager, [fb], 1)
 
     # same batch duplicated to a second monitor whose feedback is zero;

@@ -6,7 +6,6 @@ from fedbiwgan.models import (
     CriticModel,
     EncoderModel,
     GeneratorModel,
-    JointPair,
     ModelConfig,
     NoiseSpec,
     OBJECTIVES,
@@ -17,6 +16,7 @@ from fedbiwgan.models import (
     encode,
     get_objective,
     interpolate,
+    pair_rows,
 )
 from fedbiwgan.nn import ShapeError
 
@@ -74,9 +74,9 @@ def test_critic_zero_init_heads():
         d = CriticModel(cfg, np.random.default_rng(0))
         for p in d.params().values():
             p.data[...] = 0.0
-        pair = JointPair(np.zeros((3, 4, 3)), np.zeros((3, 2)), "real")
+        rows = pair_rows(np.zeros((3, 4, 3)), np.zeros((3, 2)))
         with ad.no_record():
-            scores = d(ad.tensor(pair.flat())).data[:, 0]
+            scores = d(ad.tensor(rows)).data[:, 0]
         assert scores.shape == (3,)
         np.testing.assert_allclose(scores, expected)
 
@@ -91,33 +91,38 @@ def test_raw_output_is_presigmoid():
     np.testing.assert_allclose(1 / (1 + np.exp(-raw)), prob, rtol=1e-12)
 
 
-def test_joint_pair_validation():
-    with pytest.raises(ValueError):
-        JointPair(np.zeros((2, 4, 3)), np.zeros((2, 2)), "synthetic")
+def test_critic_rows_validation():
+    d = CriticModel(SMALL, np.random.default_rng(0))
+    rows = np.zeros((2, SMALL.pair_dim))
+    for fn in (eg_local_loss, error_feedbacks):
+        with pytest.raises(ShapeError):  # real and fake batches differ
+            fn(d, rows, np.zeros((3, SMALL.pair_dim)))
     with pytest.raises(ShapeError):
-        JointPair(np.zeros((2, 4, 3)), np.zeros((3, 2)), "real")
-    with pytest.raises(ValueError):
-        JointPair(np.full((1, 4, 3), np.nan), np.zeros((1, 2)), "real")
+        critic_loss(d, rows, np.zeros((3, SMALL.pair_dim)), np.full(2, 0.5), 10.0)
+    with pytest.raises(ShapeError):  # one weight per row
+        interpolate(rows, rows, np.full(3, 0.5))
+    with pytest.raises(ValueError, match="finite"):
+        eg_local_loss(d, np.full((2, SMALL.pair_dim), np.nan), rows)
 
 
 def test_flat_order_data_then_latent():
     data = np.arange(12.0).reshape(1, 4, 3)
     latent = np.array([[100.0, 200.0]])
-    flat = JointPair(data, latent, "real").flat()
+    flat = pair_rows(data, latent)
     np.testing.assert_array_equal(flat[0, :12], np.arange(12.0))
     np.testing.assert_array_equal(flat[0, 12:], [100.0, 200.0])
+    # a stack of batches keeps the order per row
+    stacked = pair_rows(np.stack([data, data + 12]), np.stack([latent, latent + 1]))
+    assert stacked.shape == (2, 1, 14)
+    np.testing.assert_array_equal(stacked[1, 0], [*np.arange(12.0, 24.0), 101.0, 201.0])
 
 
 def test_interpolate_endpoints_and_midpoint():
-    real = JointPair(np.full((2, 1, 1), 2.0), np.full((2, 1), 2.0), "real")
-    fake = JointPair(np.zeros((2, 1, 1)), np.zeros((2, 1)), "fake")
-    np.testing.assert_array_equal(
-        interpolate(real, fake, np.ones(2)).data_part, real.data_part)
-    np.testing.assert_array_equal(
-        interpolate(real, fake, np.zeros(2)).data_part, fake.data_part)
-    mid = interpolate(real, fake, np.full(2, 0.5))
-    np.testing.assert_array_equal(mid.data_part, np.ones((2, 1, 1)))
-    assert mid.provenance == "interpolated"
+    real = np.full((2, 2), 2.0)
+    fake = np.zeros((2, 2))
+    np.testing.assert_array_equal(interpolate(real, fake, np.ones(2)), real)
+    np.testing.assert_array_equal(interpolate(real, fake, np.zeros(2)), fake)
+    np.testing.assert_array_equal(interpolate(real, fake, np.full(2, 0.5)), np.ones((2, 2)))
     with pytest.raises(ValueError):
         interpolate(real, fake, np.array([1.5, 0.0]))
 
@@ -131,6 +136,7 @@ class _LinearPairCritic:
 
     def __init__(self, w):
         self.w = ad.tensor(np.asarray(w, dtype=np.float64), requires_grad=True)
+        self.input_dim = self.w.data.shape[1]
 
     def __call__(self, u):
         return ad.matmul(u, ad.transpose(self.w))
@@ -139,16 +145,16 @@ class _LinearPairCritic:
         return {"w": self.w}
 
 
-def _scalar_pair(x, z, prov):
-    return JointPair(np.asarray(x, dtype=np.float64).reshape(-1, 1, 1),
-                     np.asarray(z, dtype=np.float64).reshape(-1, 1), prov)
+def _scalar_pair(x, z):
+    return pair_rows(np.asarray(x, dtype=np.float64).reshape(-1, 1, 1),
+                     np.asarray(z, dtype=np.float64).reshape(-1, 1))
 
 
 def test_critic_loss_linear_oracle():
     # w = [2, 0] on (data, latent); D(real)=6, D(fake)=2, penalty 10*(2-1)^2
     d = _LinearPairCritic([[2.0, 0.0]])
-    real = _scalar_pair([3.0], [0.0], "real")
-    fake = _scalar_pair([1.0], [0.0], "fake")
+    real = _scalar_pair([3.0], [0.0])
+    fake = _scalar_pair([1.0], [0.0])
     res = critic_loss(d, real, fake, np.array([0.5]), 10.0)
     assert res.value == pytest.approx(6.0, abs=1e-10)
     assert res.penalty == pytest.approx(10.0, abs=1e-10)
@@ -156,8 +162,8 @@ def test_critic_loss_linear_oracle():
 
 def test_critic_loss_constant_critic_eta_zero():
     d = _LinearPairCritic([[0.0, 0.0]])
-    real = _scalar_pair([3.0, 1.0], [0.0, 0.0], "real")
-    fake = _scalar_pair([1.0, 2.0], [0.0, 0.0], "fake")
+    real = _scalar_pair([3.0, 1.0], [0.0, 0.0])
+    fake = _scalar_pair([1.0, 2.0], [0.0, 0.0])
     res = critic_loss(d, real, fake, np.array([0.5, 0.5]), 0.0)
     assert res.value == pytest.approx(0.0, abs=1e-12)
     assert res.penalty == 0.0
@@ -165,19 +171,19 @@ def test_critic_loss_constant_critic_eta_zero():
 
 def test_critic_loss_validation():
     d = _LinearPairCritic([[1.0, 0.0]])
-    real = _scalar_pair([1.0], [0.0], "real")
-    fake = _scalar_pair([2.0], [0.0], "fake")
+    real = _scalar_pair([1.0], [0.0])
+    fake = _scalar_pair([2.0], [0.0])
     with pytest.raises(ValueError):
         critic_loss(d, real, fake, np.array([0.5]), -1.0)
     with pytest.raises(ValueError):
-        critic_loss(d, _scalar_pair([], [], "real"), _scalar_pair([], [], "fake"),
+        critic_loss(d, _scalar_pair([], []), _scalar_pair([], []),
                     np.array([]), 10.0)
 
 
 def test_eg_loss_identities():
     d = _LinearPairCritic([[2.0, 0.0]])
-    real = _scalar_pair([3.0], [0.0], "real")
-    fake = _scalar_pair([1.0], [0.0], "fake")
+    real = _scalar_pair([3.0], [0.0])
+    fake = _scalar_pair([1.0], [0.0])
     assert eg_local_loss(d, real, fake) == pytest.approx(4.0, abs=1e-12)
     # equals the negated un-penalized part of the critic loss
     res = critic_loss(d, real, fake, np.array([0.5]), 0.0)
@@ -192,8 +198,8 @@ def test_feedbacks_linear_oracle():
     w = np.array([[2.0, -3.0]])
     d = _LinearPairCritic(w)
     m = 4
-    real = _scalar_pair(np.arange(m), np.zeros(m), "real")
-    fake = _scalar_pair(np.arange(m) + 1, np.zeros(m), "fake")
+    real = _scalar_pair(np.arange(m), np.zeros(m))
+    fake = _scalar_pair(np.arange(m) + 1, np.zeros(m))
     f_e, f_g = error_feedbacks(d, real, fake)
     np.testing.assert_allclose(f_e, np.tile(w / m, (m, 1)), atol=1e-12)
     np.testing.assert_allclose(f_g, np.tile(-w / m, (m, 1)), atol=1e-12)
@@ -201,8 +207,8 @@ def test_feedbacks_linear_oracle():
 
 def test_feedbacks_constant_critic_zero():
     d = _LinearPairCritic([[0.0, 0.0]])
-    real = _scalar_pair([1.0, 2.0], [0.0, 0.0], "real")
-    fake = _scalar_pair([3.0, 4.0], [0.0, 0.0], "fake")
+    real = _scalar_pair([1.0, 2.0], [0.0, 0.0])
+    fake = _scalar_pair([3.0, 4.0], [0.0, 0.0])
     f_e, f_g = error_feedbacks(d, real, fake)
     assert np.all(f_e == 0) and np.all(f_g == 0)
 
@@ -212,10 +218,10 @@ def test_feedbacks_constant_critic_zero():
 
 
 class _ConstantProbCritic:
-    def __init__(self, p, in_dim):
+    def __init__(self, p, input_dim):
         self.p = p
-        self.in_dim = in_dim
-        self._w = ad.tensor(np.zeros((1, in_dim)), requires_grad=True)
+        self.input_dim = input_dim
+        self._w = ad.tensor(np.zeros((1, input_dim)), requires_grad=True)
 
     def __call__(self, u):
         return ad.add(ad.mul(ad.matmul(u, ad.transpose(self._w)), ad.constant(0.0)),
@@ -226,8 +232,8 @@ class _ConstantProbCritic:
 
 
 def _random_pairs(rng, m, window=2, features=2, latent=2):
-    return (JointPair(rng.random((m, window, features)), rng.random((m, latent)), "real"),
-            JointPair(rng.random((m, window, features)), rng.random((m, latent)), "fake"))
+    return (pair_rows(rng.random((m, window, features)), rng.random((m, latent))),
+            pair_rows(rng.random((m, window, features)), rng.random((m, latent))))
 
 
 def test_gan_constant_half_discriminator_loss():
@@ -253,8 +259,8 @@ def test_wgan_equal_expectations_zero():
 def test_wgan_gp_linear_oracle():
     # same setup as the critic_loss oracle, window-only critic
     d = _LinearPairCritic([[2.0]])
-    real = _scalar_pair([3.0], [7.0], "real")
-    fake = _scalar_pair([1.0], [-5.0], "fake")
+    real = _scalar_pair([3.0], [7.0])
+    fake = _scalar_pair([1.0], [-5.0])
     res = critic_loss(d, real, fake, np.array([0.5]), 10.0, OBJECTIVES["wgan_gp"])
     assert res.value == pytest.approx(-(6.0 - 2.0) + 10.0, abs=1e-10)
 
@@ -265,8 +271,8 @@ def test_baseline_type_checks():
     assert set(OBJECTIVES) == {"gan", "bigan", "wgan", "wgan_gp", "biwgan_gp"}
     # a window-only critic never sees the latent part
     d = _LinearPairCritic([[1.0]])
-    real = _scalar_pair([1.0], [9.0], "real")
-    fake = _scalar_pair([2.0], [-9.0], "fake")
+    real = _scalar_pair([1.0], [9.0])
+    fake = _scalar_pair([2.0], [-9.0])
     assert eg_local_loss(d, real, fake, OBJECTIVES["wgan"]) == pytest.approx(-1.0)
 
 
