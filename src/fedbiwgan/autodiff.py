@@ -178,8 +178,12 @@ def div(a, b):
 
 
 def matmul(a, b):
+    """Matrix product; a 2-D operand broadcasts over the other's leading
+    axes, e.g. a [out, in] weight applied at every step of [T, batch, in]."""
+
     def bwd(g):
-        return matmul(g, transpose(b)), matmul(transpose(a), g)
+        return (_reduce_to(matmul(g, transpose(b)), a.data.shape),
+                _reduce_to(matmul(transpose(a), g), b.data.shape))
 
     return Tensor(a.data @ b.data, (a, b), bwd)
 
@@ -192,6 +196,16 @@ def transpose(a):
         return (transpose(g),)
 
     return Tensor(a.data.mT, (a,), bwd)
+
+
+def swap_leading(a):
+    """Swap the first two axes, as a view: [batch, T, ...] to time-major
+    [T, batch, ...] and back. It is its own adjoint."""
+
+    def bwd(g):
+        return (swap_leading(g),)
+
+    return Tensor(a.data.swapaxes(0, 1), (a,), bwd)
 
 
 def tanh(a):
@@ -288,7 +302,8 @@ def narrow(a, axis, start, length):
     def bwd(g):
         return (_embed(g, axis, start, a.data.shape),)
 
-    return Tensor(a.data[index], (a,), bwd)
+    # a copy, so a slice does not keep the whole of a alive
+    return Tensor(a.data[index].copy(), (a,), bwd)
 
 
 def _embed(g, axis, start, shape):
@@ -320,6 +335,26 @@ def l2_norm_rows(a):
     """Euclidean norm over the last axis, one per row of a matrix or of
     each matrix in a stack; d‖x‖/dx := 0 at x = 0."""
     return sqrt_guard(tsum(mul(a, a), axis=-1))
+
+
+def recording(*tensors):
+    """Whether an op on these inputs records a graph node."""
+    return _record and any(t.requires_grad for t in tensors)
+
+
+def numpy_op(data, parents, bwd):
+    """A node whose backward bwd(g) maps the output cotangent array to one
+    array per parent (None where a parent needs none) in plain numpy. It
+    records nothing, so a grad(..., create_graph=True) that reaches the
+    node raises."""
+
+    def backward(g):
+        if _record:
+            raise RuntimeError("this op has a numpy backward; it cannot be "
+                               "differentiated twice (create_graph=True)")
+        return tuple(None if d is None else Tensor(d) for d in bwd(g.data))
+
+    return Tensor(data, parents, backward)
 
 
 # ---------------------------------------------------------------------------

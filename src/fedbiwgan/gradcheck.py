@@ -48,18 +48,27 @@ def _at(params, probe, fn):
             p.data = saved[k]
 
 
-def _check_net(net, x, loss_of_out, h=1e-5):
+def _check_net(net, x, loss_of_out, h=1e-5, input_grad=False):
     """Compare graph gradients of loss_of_out(net(x)) against central
-    differences over every parameter."""
+    differences over every parameter, and over x with input_grad."""
     params = net.params()
     names = list(params)
-    loss = loss_of_out(net(ad.tensor(x)))
-    grads = ad.grad(loss, [params[k] for k in names])
+    x_leaf = ad.tensor(x, requires_grad=input_grad)
+    grads = ad.grad(loss_of_out(net(x_leaf)),
+                    [params[k] for k in names] + ([x_leaf] if input_grad else []))
     analytic = {k: g.data for k, g in zip(names, grads)}
+
+    def value(inputs):
+        with ad.no_record():
+            return float(loss_of_out(net(ad.tensor(inputs))).data)
+
     numeric = finite_difference_gradient(
-        lambda probe: _at(params, probe, lambda: float(loss_of_out(net(ad.tensor(x))).data)),
-        params, h,
+        lambda probe: _at(params, probe, lambda: value(x)), params, h,
     )
+    if input_grad:
+        analytic["input"] = grads[-1].data
+        numeric.update(finite_difference_gradient(lambda probe: value(probe["input"]),
+                                                  {"input": x}, h))
     return _compare(analytic, numeric)
 
 
@@ -93,18 +102,15 @@ def _random_rows(rng, m):
 
 
 class _LstmWrap:
-    """Unrolls a cell for a few steps so it can be checked like a network."""
+    """A cell's hidden states over a window, checked like a network: over a
+    time-major input sequence, or one input fed at each of `steps` steps."""
 
-    def __init__(self, cell, steps):
+    def __init__(self, cell, steps=None):
         self.cell = cell
         self.steps = steps
 
     def __call__(self, x):
-        batch = x.data.shape[0]
-        h = c = ad.zeros((batch, self.cell.hidden_dim))
-        for _ in range(self.steps):
-            h, c = self.cell.step(x, h, c)
-        return h
+        return self.cell.sequence(x, steps=self.steps)
 
     def params(self):
         return self.cell.params()
@@ -145,7 +151,8 @@ def run_gradcheck(seed=0, verbose=False):
         x = rng.standard_normal((3, dims[0]))
         record(f"ff{dims}", _check_net(net, x, _quad_loss))
 
-    # recurrent cells unrolled over several steps
+    # recurrent cells over several steps, one input fed at each (the
+    # generator's noise); the loss reads every hidden state
     for in_dim, hidden, steps in ((3, 4, 1), (2, 3, 3), (4, 2, 5)):
         cell = VlstmCell(in_dim, hidden, rng, name="gc/lstm")
         x = rng.standard_normal((2, in_dim))
@@ -205,5 +212,13 @@ def run_gradcheck(seed=0, verbose=False):
                _check_critic_loss(critic, real, fake, eps, 10.0, objective))
         record(f"feedbacks[{name}]",
                _check_feedbacks(critic, real, fake, objective))
+
+    # recurrent cells over time-major input sequences, with the input
+    # gradient checked too (drawn last, so the configs above stay as they were)
+    for in_dim, hidden, steps in ((3, 4, 1), (2, 3, 3), (4, 2, 5)):
+        cell = VlstmCell(in_dim, hidden, rng, name="gc/lstm")
+        xs = rng.standard_normal((steps, 2, in_dim))
+        record(f"vlstm_seq[{in_dim}->{hidden},T={steps}]",
+               _check_net(_LstmWrap(cell), xs, _abs_like_loss, input_grad=True))
 
     return max(err for _, err in results)

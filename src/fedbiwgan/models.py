@@ -75,7 +75,8 @@ class NoiseSpec:
 class GeneratorModel:
     """Two VLSTM layers and a linear dense head; maps latent vectors to
     fake windows [batch, window, features]. The latent vector is fed as
-    the cell input at every time step."""
+    the cell input at every time step; the layers and the head run
+    time-major."""
 
     def __init__(self, cfg: ModelConfig, rng):
         self.cfg = cfg
@@ -89,16 +90,8 @@ class GeneratorModel:
             raise ShapeError(
                 f"generator expects [batch, {self.cfg.latent_dim}] noise, got {z.data.shape}"
             )
-        batch = z.data.shape[0]
-        h1 = c1 = ad.zeros((batch, self.lstm1.hidden_dim))
-        h2 = c2 = ad.zeros((batch, self.lstm2.hidden_dim))
-        steps = []
-        for _ in range(self.cfg.window):
-            h1, c1 = self.lstm1.step(z, h1, c1)
-            h2, c2 = self.lstm2.step(h1, h2, c2)
-            out = self.head(h2)
-            steps.append(ad.reshape(out, (batch, 1, self.cfg.features)))
-        return ad.concat(steps, axis=1)
+        hidden = self.lstm2.sequence(self.lstm1.sequence(z, steps=self.cfg.window))
+        return ad.swap_leading(self.head(hidden))
 
     def params(self):
         out = {}
@@ -110,8 +103,8 @@ class GeneratorModel:
 
 class EncoderModel:
     """Mirror of the generator in fully reverse order: a linear dense
-    layer per step, then two VLSTM layers; the final hidden state is the
-    latent representation."""
+    layer per step, then two VLSTM layers, all time-major; the final hidden
+    state is the latent representation."""
 
     def __init__(self, cfg: ModelConfig, rng):
         self.cfg = cfg
@@ -127,17 +120,8 @@ class EncoderModel:
                 f"encoder expects [batch, {self.cfg.window}, {self.cfg.features}] "
                 f"windows, got {shape}"
             )
-        batch = shape[0]
-        h1 = c1 = ad.zeros((batch, self.lstm1.hidden_dim))
-        h2 = c2 = ad.zeros((batch, self.lstm2.hidden_dim))
-        for step in range(self.cfg.window):
-            x_step = ad.reshape(
-                ad.narrow(x, 1, step, 1), (batch, self.cfg.features)
-            )
-            u = self.head(x_step)
-            h1, c1 = self.lstm1.step(u, h1, c1)
-            h2, c2 = self.lstm2.step(h1, h2, c2)
-        return h2
+        hidden = self.lstm2.sequence(self.lstm1.sequence(self.head(ad.swap_leading(x))))
+        return ad.reshape(ad.narrow(hidden, 0, self.cfg.window - 1, 1), hidden.shape[1:])
 
     def params(self):
         out = {}

@@ -32,6 +32,21 @@ def _activate(x, activation):
     raise ValueError(f"unknown activation {activation!r}; expected one of {ACTIVATIONS}")
 
 
+def _affine(a, w, b, out):
+    """a @ w.T + b written into out, bit for bit as Dense's affine map."""
+    np.matmul(a, w.mT, out=out)
+    out += b
+    return out
+
+
+def _sigmoid(x):
+    """ad.sigmoid's 1 / (1 + exp(-x)), bit for bit, in place."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
+
+
 def _init_weight(rng, out_dim, in_dim):
     limit = 1.0 / np.sqrt(in_dim)
     return ad.tensor(rng.uniform(-limit, limit, (out_dim, in_dim)), requires_grad=True)
@@ -90,26 +105,92 @@ class VlstmCell:
         self.b_z = ad.tensor(np.zeros(hidden_dim), requires_grad=True)
         self.b_o = ad.tensor(np.zeros(hidden_dim), requires_grad=True)
 
-    def step(self, y: Tensor, h_prev: Tensor, c_prev: Tensor):
-        if y.data.shape[-1] != self.in_dim:
+    def sequence(self, x: Tensor, steps=None) -> Tensor:
+        """Hidden states [T, batch, hidden] from zero state, over time-major
+        inputs x [T, batch, in], or over one [batch, in] input fed at each
+        of `steps` steps. The whole window is one graph node whose backward
+        is numpy BPTT, with the weight gradients matmuls over all T*batch
+        rows at once; it cannot be differentiated twice."""
+        if x.data.ndim != (3 if steps is None else 2) or x.data.shape[-1] != self.in_dim:
             raise ShapeError(
-                f"{self.name}: input width {y.data.shape[-1]} != cell in_dim {self.in_dim}"
+                f"{self.name}: expected {'[T, batch' if steps is None else '[batch'}, "
+                f"{self.in_dim}] input, got {x.data.shape}"
             )
-        if h_prev.data.shape[-1] != self.hidden_dim or c_prev.data.shape[-1] != self.hidden_dim:
-            raise ShapeError(
-                f"{self.name}: state width mismatch, hidden_dim={self.hidden_dim}, "
-                f"got h {h_prev.data.shape} c {c_prev.data.shape}"
-            )
-        yhc = ad.concat([y, h_prev, c_prev], axis=1)
-        yh = ad.concat([y, h_prev], axis=1)
-        gate_i = ad.sigmoid(ad.add(ad.matmul(yhc, ad.transpose(self.w_i)), self.b_i))
-        gate_f = ad.sigmoid(ad.add(ad.matmul(yhc, ad.transpose(self.w_f)), self.b_f))
-        cand = ad.tanh(ad.add(ad.matmul(yh, ad.transpose(self.w_z)), self.b_z))
-        c_cur = ad.add(ad.mul(gate_f, c_prev), ad.mul(gate_i, cand))
-        yhc_out = ad.concat([y, h_prev, c_cur], axis=1)
-        gate_o = ad.sigmoid(ad.add(ad.matmul(yhc_out, ad.transpose(self.w_o)), self.b_o))
-        h_cur = ad.mul(gate_o, ad.tanh(c_cur))
-        return h_cur, c_cur
+        n, hid = self.in_dim, self.hidden_dim
+        params = (self.w_i, self.b_i, self.w_f, self.b_f,
+                  self.w_z, self.b_z, self.w_o, self.b_o)
+        w_i, b_i, w_f, b_f, w_z, b_z, w_o, b_o = (p.data for p in params)
+        xs = x.data
+        T = len(xs) if steps is None else steps
+        batch = xs.shape[-2]
+        keep = ad.recording(x, *params)
+        # time-major caches for the backward; one reused step when forward only
+        cached = T if keep else 1
+        a_in = np.zeros((cached, batch, n + 2 * hid))  # [y, h_prev, c_prev]
+        # [y, h_prev, c]; forward only, c overwrites c_prev in place
+        a_out = np.empty_like(a_in) if keep else a_in
+        # i, f, z, o, tanh(c); forward only, o and tanh(c) reuse i and f
+        gates = np.empty((5 if keep else 3, cached, batch, hid))
+        hs = np.empty((T, batch, hid))
+        for t in range(T):
+            k = t if keep else 0
+            a = a_in[k]
+            a[:, :n] = xs if steps is not None else xs[t]
+            if t:
+                a[:, n:n + hid] = hs[t - 1]
+                a[:, n + hid:] = c
+            gate_i, gate_f, cand = gates[:3, k]
+            _sigmoid(_affine(a, w_i, b_i, gate_i))
+            _sigmoid(_affine(a, w_f, b_f, gate_f))
+            np.tanh(_affine(a[:, :n + hid], w_z, b_z, cand), out=cand)
+            c = gate_f * a[:, n + hid:] + gate_i * cand
+            if keep:
+                gate_o, tanh_c = gates[3:, t]
+                a_out[t, :, :n + hid] = a[:, :n + hid]
+            else:
+                gate_o, tanh_c = gate_i, gate_f
+            a_out[k, :, n + hid:] = c
+            _sigmoid(_affine(a_out[k], w_o, b_o, gate_o))
+            np.multiply(gate_o, np.tanh(c, out=tanh_c), out=hs[t])
+        if not keep:
+            return Tensor(hs)
+
+        def bwd(g):
+            gate_i, gate_f, cand, gate_o, tanh_c = gates
+            # what dc gives the i, f, z pre-activations, and what dh gives
+            # the o pre-activation and c, at every step at once
+            dc_to_ifz = np.stack([cand * gate_i * (1.0 - gate_i),
+                                  a_in[..., n + hid:] * gate_f * (1.0 - gate_f),
+                                  gate_i * (1.0 - cand * cand)], axis=2)
+            dh_to_o = tanh_c * gate_o * (1.0 - gate_o)
+            dh_to_c = gate_o * (1.0 - tanh_c * tanh_c)
+            w_if = np.concatenate([w_i, w_f])
+            d_pre = np.empty((T, batch, 4, hid))  # pre-activation i, f, z, o
+            dx = np.zeros(xs.shape) if x.requires_grad else None
+            dh_next = dc_next = 0.0
+            for t in reversed(range(T)):
+                dh = g[t] + dh_next
+                d_o = np.multiply(dh, dh_to_o[t], out=d_pre[t, :, 3])
+                d_out = d_o @ w_o
+                dc = dc_next + dh * dh_to_c[t] + d_out[:, n + hid:]
+                np.multiply(dc[:, None], dc_to_ifz[t], out=d_pre[t, :, :3])
+                d_in = d_pre[t, :, :2].reshape(batch, 2 * hid) @ w_if
+                d_yh = d_in[:, :n + hid] + d_pre[t, :, 2] @ w_z + d_out[:, :n + hid]
+                dh_next = d_yh[:, n:]
+                dc_next = dc * gate_f[t] + d_in[:, n + hid:]
+                if dx is not None and steps is None:
+                    dx[t] = d_yh[:, :n]
+                elif dx is not None:
+                    dx += d_yh[:, :n]
+            rows = d_pre.reshape(T * batch, 4 * hid)
+            wide_in = a_in.reshape(T * batch, -1)
+            g_if = rows[:, :2 * hid].T @ wide_in
+            g_b = rows.sum(axis=0).reshape(4, hid)
+            return (dx, g_if[:hid], g_b[0], g_if[hid:], g_b[1],
+                    rows[:, 2 * hid:3 * hid].T @ wide_in[:, :n + hid], g_b[2],
+                    rows[:, 3 * hid:].T @ a_out.reshape(T * batch, -1), g_b[3])
+
+        return ad.numpy_op(hs, (x, *params), bwd)
 
     def params(self):
         return {

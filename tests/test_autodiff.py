@@ -247,6 +247,35 @@ def test_batched_matmul_transpose_norm_second_order(n):
         gw, _numeric_grad(lambda b: _value(_batched_penalty, u0, b), w0), atol=1e-7)
 
 
+def test_matmul_weight_over_leading_axes():
+    # a 2-D [out, in] weight applied at every step of [T, batch, in]: its
+    # gradient sums the broadcast axes, and the output equals T 2-D matmuls
+    rng = np.random.default_rng(5)
+    x0, w0 = rng.standard_normal((3, 4, 2)), rng.standard_normal((5, 2))
+
+    def layer(x, w):
+        return ad.tsum(ad.tanh(ad.matmul(x, ad.transpose(w))))
+
+    x, w = ad.tensor(x0, requires_grad=True), ad.tensor(w0, requires_grad=True)
+    np.testing.assert_array_equal(ad.matmul(x, ad.transpose(w)).data,
+                                  np.stack([x0[t] @ w0.T for t in range(3)]))
+    gx, gw = (t.data for t in ad.grad(layer(x, w), [x, w]))
+    assert gw.shape == (5, 2)
+    np.testing.assert_allclose(gw, _numeric_grad(lambda b: _value(layer, x0, b), w0), atol=1e-8)
+    np.testing.assert_allclose(gx, _numeric_grad(lambda a: _value(layer, a, w0), x0), atol=1e-8)
+
+
+def test_swap_leading_roundtrip_and_grad():
+    x0 = np.arange(24.0).reshape(2, 3, 4)
+    x = ad.tensor(x0, requires_grad=True)
+    swapped = ad.swap_leading(x)
+    assert swapped.data.shape == (3, 2, 4)
+    np.testing.assert_array_equal(ad.swap_leading(swapped).data, x0)
+    weights = np.arange(24.0).reshape(3, 2, 4)
+    g = _g(ad.tsum(ad.mul(swapped, ad.constant(weights))), x)
+    np.testing.assert_array_equal(g, weights.swapaxes(0, 1))
+
+
 def test_batched_members_do_not_mix():
     # member n's gradients depend on member n's inputs only
     rng = np.random.default_rng(3)

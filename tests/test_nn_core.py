@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedbiwgan import autodiff as ad
 from fedbiwgan.nn import (
@@ -75,35 +77,109 @@ def _zero_cell(in_dim=1, hidden=1):
 
 def test_vlstm_zero_state_stays_zero():
     cell = _zero_cell()
-    h, c = cell.step(ad.tensor([[0.0]]), ad.tensor([[0.0]]), ad.tensor([[0.0]]))
-    np.testing.assert_array_equal(h.data, [[0.0]])
-    np.testing.assert_array_equal(c.data, [[0.0]])
+    h = cell.sequence(ad.tensor(np.zeros((3, 1, 1))))
+    np.testing.assert_array_equal(h.data, np.zeros((3, 1, 1)))
 
 
 def test_vlstm_zero_params_carry_half_cell():
-    # gates at sigma(0)=0.5, candidate 0: c = 0.5*c_prev, h = 0.5*tanh(c)
+    # step 1 (y=1) writes c = sigma(100) * tanh(100) = 1.0 exactly; step 2
+    # (y=0) sees zero weights on (h, c): gates at sigma(0)=0.5, candidate
+    # 0, so c = 0.5*c_prev, h = 0.5*tanh(c)
     cell = _zero_cell()
-    h, c = cell.step(ad.tensor([[0.0]]), ad.tensor([[0.0]]), ad.tensor([[1.0]]))
-    np.testing.assert_allclose(c.data, [[0.5]])
-    np.testing.assert_allclose(h.data, [[0.5 * np.tanh(0.5)]])
-    assert abs(h.data[0, 0] - 0.2311) < 5e-5
+    cell.w_i.data[0, 0] = 100.0
+    cell.w_z.data[0, 0] = 100.0
+    h = cell.sequence(ad.tensor([[[1.0]], [[0.0]]])).data
+    np.testing.assert_allclose(h[0], [[0.5 * np.tanh(1.0)]])
+    np.testing.assert_allclose(h[1], [[0.5 * np.tanh(0.5)]])
+    assert abs(h[1, 0, 0] - 0.2311) < 5e-5
 
 
 def test_vlstm_saturated_gates_pass_cell_through():
+    # step 1 writes c = tanh(atanh(0.7)) = 0.7; step 2, with every gate
+    # saturated open and candidate 0, passes it through
     cell = _zero_cell()
     for key in ("b_i", "b_f", "b_o"):
         cell.params()[f"vlstm/{key}"].data[...] = 100.0
-    h, c = cell.step(ad.tensor([[0.0]]), ad.tensor([[0.0]]), ad.tensor([[0.7]]))
-    np.testing.assert_allclose(c.data, [[0.7]], atol=1e-6)
-    np.testing.assert_allclose(h.data, [[np.tanh(0.7)]], atol=1e-6)
+    cell.w_z.data[0, 0] = 1.0
+    h = cell.sequence(ad.tensor([[[np.arctanh(0.7)]], [[0.0]]])).data
+    np.testing.assert_allclose(h[1], [[np.tanh(0.7)]], atol=1e-6)
+    np.testing.assert_allclose(h[0], [[np.tanh(0.7)]], atol=1e-6)
 
 
 def test_vlstm_shape_errors():
     cell = VlstmCell(2, 3)
     with pytest.raises(ShapeError):
-        cell.step(ad.tensor(np.ones((1, 5))), ad.zeros((1, 3)), ad.zeros((1, 3)))
+        cell.sequence(ad.tensor(np.ones((4, 1, 5))))
     with pytest.raises(ShapeError):
-        cell.step(ad.tensor(np.ones((1, 2))), ad.zeros((1, 4)), ad.zeros((1, 3)))
+        cell.sequence(ad.tensor(np.ones((1, 5))), steps=4)
+    # a sequence needs [T, batch, in]; a repeated input needs [batch, in]
+    with pytest.raises(ShapeError):
+        cell.sequence(ad.tensor(np.ones((1, 2))))
+    with pytest.raises(ShapeError):
+        cell.sequence(ad.tensor(np.ones((4, 1, 2))), steps=4)
+
+
+def _reference_sequence(cell, x, steps):
+    """The cell unrolled step by step in autodiff ops, from zero state:
+    input and forget gates see [y, h_prev, c_prev], the candidate
+    [y, h_prev], the output gate [y, h_prev, c]."""
+    batch = x.data.shape[-2]
+    h = c = ad.zeros((batch, cell.hidden_dim))
+    hs = []
+    for t in range(steps):
+        y = x if x.data.ndim == 2 else ad.reshape(ad.narrow(x, 0, t, 1), x.data.shape[1:])
+        yhc = ad.concat([y, h, c], axis=1)
+        gate_i = ad.sigmoid(ad.add(ad.matmul(yhc, ad.transpose(cell.w_i)), cell.b_i))
+        gate_f = ad.sigmoid(ad.add(ad.matmul(yhc, ad.transpose(cell.w_f)), cell.b_f))
+        cand = ad.tanh(ad.add(ad.matmul(ad.concat([y, h], axis=1), ad.transpose(cell.w_z)),
+                              cell.b_z))
+        c_prev, c = c, ad.add(ad.mul(gate_f, c), ad.mul(gate_i, cand))
+        yhc_out = ad.concat([y, h, c], axis=1)
+        gate_o = ad.sigmoid(ad.add(ad.matmul(yhc_out, ad.transpose(cell.w_o)), cell.b_o))
+        h = ad.mul(gate_o, ad.tanh(c))
+        hs.append(ad.reshape(h, (1, batch, cell.hidden_dim)))
+    return ad.concat(hs, axis=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.integers(1, 64), steps=st.integers(1, 8), repeated=st.booleans(),
+       in_dim=st.integers(1, 5), hidden=st.integers(1, 5), seed=st.integers(0, 2**16))
+def test_vlstm_sequence_matches_step_loop(batch, steps, repeated, in_dim, hidden, seed):
+    # forward bitwise equal to the per-step loop; parameter and input
+    # gradients of the BPTT backward within 1e-12 relative
+    rng = np.random.default_rng(seed)
+    cell = VlstmCell(in_dim, hidden, rng)
+    for p in (cell.b_i, cell.b_f, cell.b_z, cell.b_o):
+        p.data[...] = rng.uniform(-0.5, 0.5, p.data.shape)
+    x = ad.tensor(rng.standard_normal((batch, in_dim) if repeated else (steps, batch, in_dim)),
+                  requires_grad=True)
+    out = cell.sequence(x, steps=steps if repeated else None)
+    ref = _reference_sequence(cell, x, steps)
+    np.testing.assert_array_equal(out.data, ref.data)
+    with ad.no_record():
+        np.testing.assert_array_equal(cell.sequence(x, steps if repeated else None).data,
+                                      out.data)
+    cot = rng.standard_normal(out.data.shape)
+    wrt = [*cell.params().values(), x]
+    for got, want in zip(ad.grad(out, wrt, out_grad=cot), ad.grad(ref, wrt, out_grad=cot)):
+        scale = max(np.max(np.abs(want.data)), 1e-300)
+        assert np.max(np.abs(got.data - want.data)) <= 1e-12 * scale
+
+
+def test_vlstm_sequence_refuses_second_derivative():
+    cell = VlstmCell(2, 3, np.random.default_rng(0))
+    x = ad.tensor(np.ones((2, 1, 2)), requires_grad=True)
+    out = ad.tsum(cell.sequence(x))
+    with pytest.raises(RuntimeError, match="differentiated twice"):
+        ad.grad(out, [x], create_graph=True)
+
+
+def test_vlstm_sequence_records_nothing_forward_only():
+    cell = VlstmCell(2, 3, np.random.default_rng(0))
+    with ad.no_record():
+        out = cell.sequence(ad.tensor(np.ones((1, 2))), steps=4)
+    assert out.data.shape == (4, 1, 3)
+    assert out.parents == () and out.bwd is None and not out.requires_grad
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +217,9 @@ def test_stacked_recurrent_head_shape():
     c2 = VlstmCell(5, 3, rng, name="b")
     head = Dense(3, 2, "linear", rng)
     x = rng.standard_normal((6, 4))
-    h1 = cc1 = ad.zeros((6, 5))
-    h2 = cc2 = ad.zeros((6, 3))
-    for _ in range(3):
-        h1, cc1 = c1.step(ad.tensor(x), h1, cc1)
-        h2, cc2 = c2.step(h1, h2, cc2)
-    assert head(h2).data.shape == (6, 2)
+    h2 = c2.sequence(c1.sequence(ad.tensor(x), steps=3))
+    assert h2.data.shape == (3, 6, 3)
+    assert head(h2).data.shape == (3, 6, 2)
 
 
 def test_backward_linear_outer_product():
