@@ -54,34 +54,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; mixed operands are promoted to constants
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
 
 def tensor(value, requires_grad=False):
     """Public constructor: validates shape/data consistency and finiteness."""
@@ -93,10 +65,6 @@ def tensor(value, requires_grad=False):
 
 def constant(value):
     return Tensor(np.asarray(value, dtype=np.float64))
-
-
-def _wrap(value):
-    return value if isinstance(value, Tensor) else constant(value)
 
 
 def zeros(shape):
@@ -224,28 +192,11 @@ def _sigmoid_bwd(g, out):
     return (mul(g, mul(out, sub(constant(1.0), out))),)
 
 
-def exp(a):
-    return _reads_output(Tensor(np.exp(a.data), (a,)), _exp_bwd)
-
-
-def _exp_bwd(g, out):
-    return (mul(g, out),)
-
-
 def log(a):
     def bwd(g):
         return (div(g, a),)
 
     return Tensor(np.log(a.data), (a,), bwd)
-
-
-def softplus(a):
-    """log(1 + exp(a)), numerically stable; gradient is sigmoid(a)."""
-
-    def bwd(g):
-        return (mul(g, sigmoid(a)),)
-
-    return Tensor(np.logaddexp(0.0, a.data), (a,), bwd)
 
 
 def tsum(a, axis=None, keepdims=False):

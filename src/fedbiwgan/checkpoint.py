@@ -93,10 +93,6 @@ def load_models(path, builders):
         cfg = ModelConfig.from_dict(cfg_dict)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad model_config: {exc}") from None
-    sizes = [cfg.features, cfg.window, cfg.latent_dim, *cfg.gen_hidden, *cfg.critic_hidden]
-    if not all(type(v) is int and v >= 1 for v in sizes):
-        raise CheckpointError(f"{path}: model_config sizes must be positive integers, "
-                              f"got {cfg_dict!r}")
     models = {}
     for prefix in prefixes:
         if prefix not in builders:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_models, save_models
-from .config import ConfigError, load_config, load_experiment, resolve_experiment
+from .config import ConfigError, load_experiment, resolve_experiment
 from .data import FEATURE_NAMES, SynthSpec, synth_dataset
 from .detection import calibrate_threshold, classify, evaluate
 from .experiment import (
@@ -337,7 +337,7 @@ def cmd_report_costs(args):
 
 
 def cmd_synth(args):
-    spec = SynthSpec(length=args.length, noise=args.noise, seed=args.seed or 7)
+    spec = SynthSpec(length=args.length, noise=args.noise, seed=args.seed)
     series = synth_dataset(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -408,7 +408,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--length", type=int, default=5000)
     p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("gradcheck", help="run the gradient oracle suite")

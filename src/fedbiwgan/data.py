@@ -48,20 +48,18 @@ class DataError(ValueError):
 # ingestion
 
 
-def load_dataset(path, column_mapping=None, label_column=None, strict=False, max_gap=3):
-    """Read a delimited text file into a [rows, 26] float64 matrix and a
-    [rows] int label array (1 abnormal, 0 normal, -1 blank cell), or None
-    for the labels when no label_column is given.
+def load_dataset(path, column_mapping=None, strict=False, max_gap=3):
+    """Read a delimited text file into a [rows, 26] float64 matrix.
 
     column_mapping maps each canonical feature name to the file's column
     header; identity mapping by default. A row with a cell that does not
-    parse as a finite number (or a label that is not a finite number) is
-    skipped, or raises DataError naming file:line when strict. Blank and
-    NaN feature cells are missing values: linearly interpolated over gaps
-    of at most `max_gap` rows, while longer gaps drop the affected rows.
+    parse as a finite number is skipped, or raises DataError naming
+    file:line when strict. Blank and NaN cells are missing values:
+    linearly interpolated over gaps of at most `max_gap` rows, while
+    longer gaps drop the affected rows.
     """
     mapping = dict(column_mapping or {})
-    rows, labels = [], []
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -74,17 +72,12 @@ def load_dataset(path, column_mapping=None, label_column=None, strict=False, max
             columns.append(src)
         for lineno, row in enumerate(reader, start=2):
             try:
-                values = [_parse_cell(row.get(src), src) for src in columns]
-                label = _parse_label(row.get(label_column), label_column) if label_column else 0
+                rows.append([_parse_cell(row.get(src), src) for src in columns])
             except DataError as exc:
                 if strict:
                     raise DataError(f"{path}:{lineno}: {exc}") from None
-                continue
-            rows.append(values)
-            labels.append(label)
     matrix = np.array(rows, dtype=np.float64).reshape(-1, NUM_FEATURES)
-    keep = _interpolate_gaps(matrix, max_gap)
-    return matrix[keep], np.array(labels, dtype=np.int64)[keep] if label_column else None
+    return matrix[_interpolate_gaps(matrix, max_gap)]
 
 
 def _parse_cell(cell, column):
@@ -99,17 +92,6 @@ def _parse_cell(cell, column):
     if math.isinf(value):
         raise DataError(f"unparseable value {cell!r} in {column}")
     return value
-
-
-def _parse_label(cell, column):
-    """1 abnormal (any nonzero number), 0 normal, -1 for a blank cell."""
-    cell = (cell or "").strip()
-    if cell == "":
-        return -1
-    value = _parse_cell(cell, column)
-    if math.isnan(value):
-        raise DataError(f"unparseable label {cell!r} in {column}")
-    return int(value != 0.0)
 
 
 def _interpolate_gaps(matrix, max_gap):
@@ -159,14 +141,6 @@ class Normalizer:
         out[..., nz] = (values[..., nz] - self.minimum[nz]) / span[nz]
         return out
 
-    def invert(self, values):
-        values = np.asarray(values, dtype=np.float64)
-        span = self.maximum - self.minimum
-        out = np.array(np.broadcast_to(self.minimum, values.shape), dtype=np.float64)
-        nz = span != 0
-        out[..., nz] = values[..., nz] * span[nz] + self.minimum[nz]
-        return out
-
 
 def fit_normalizer(train_values) -> Normalizer:
     values = np.asarray(train_values, dtype=np.float64)
@@ -197,27 +171,17 @@ def check_rate(rate):
         raise DataError(f"injection.rate must lie in [0, 1], got {rate}")
 
 
-def _window_view(values, t, stride):
-    """Read-only [n, ..., t] view of every stride-th length-t window."""
+def make_windows(values, t, stride=1):
+    """Every stride-th run of t consecutive rows of a [rows, features]
+    matrix, as a C-contiguous float64 [n, t, features] array."""
+    values = np.asarray(values, dtype=np.float64)
     if t < 1:
         raise DataError(f"window length must be >= 1, got {t}")
     check_stride(stride)
     if t > values.shape[0]:
         raise DataError(f"window length {t} exceeds record count {values.shape[0]}")
-    return sliding_window_view(values, t, axis=0)[::stride]
-
-
-def make_windows(values, t, stride=1):
-    """Every stride-th run of t consecutive rows of a [rows, features]
-    matrix, as a C-contiguous float64 [n, t, features] array."""
-    values = np.asarray(values, dtype=np.float64)
-    return np.ascontiguousarray(np.moveaxis(_window_view(values, t, stride), -1, 1))
-
-
-def window_labels(labels, t, stride=1):
-    """[n] window labels for make_windows' windows over the same rows: a
-    window is abnormal iff any member row is labeled abnormal (1)."""
-    return _window_view(np.asarray(labels) == 1, t, stride).any(axis=-1).astype(np.int64)
+    view = sliding_window_view(values, t, axis=0)[::stride]  # [n, features, t]
+    return np.ascontiguousarray(np.moveaxis(view, -1, 1))
 
 
 def split_windows(windows, ratios=(0.6, 0.2, 0.2)):

@@ -70,7 +70,7 @@ def build_node_data(exp: Experiment) -> dict:
                 key = f"{s}.{n}"
                 if key not in paths:
                     raise ConfigError(f"data.paths has no entry for monitor {key}")
-                values, _ = load_dataset(paths[key], column_mapping=data_cfg.get("mapping"))
+                values = load_dataset(paths[key], column_mapping=data_cfg.get("mapping"))
             else:
                 raise ConfigError(f"unknown data source {source!r}")
             splits = split_windows(make_windows(values, t, stride), ratios)

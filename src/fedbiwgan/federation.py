@@ -99,6 +99,7 @@ class TrainingConfig:
             raise ValueError("critic_iters, local_iters and batch_size must be >= 1")
         if self.eta < 0:
             raise ValueError("eta must be non-negative")
+        NoiseSpec(self.noise)
 
 
 @dataclass
@@ -389,35 +390,31 @@ def manager_update(manager: ManagerNode, feedbacks: list[FeedbackPacket], iterat
 
 
 def controller_aggregate(param_sets: list[dict], weights: SliceWeights) -> dict:
-    """Per-coordinate weighted average sum_s Q_s * theta_s / Q, reduced in
-    ascending slice order; equal weights reduce to the arithmetic mean
-    exactly."""
+    """Per-coordinate weighted average sum_s Q_s * theta_s / Q of each
+    slice's decoded float64 parameter arrays, reduced in ascending slice
+    order; equal weights reduce to the arithmetic mean exactly."""
     if len(param_sets) != len(weights.counts):
         raise ProtocolError("one parameter set per slice required")
     keys = list(param_sets[0])
     for ps in param_sets[1:]:
         if list(ps) != keys or any(
-            np.shape(_np(ps[k])) != np.shape(_np(param_sets[0][k])) for k in keys
+            np.shape(ps[k]) != np.shape(param_sets[0][k]) for k in keys
         ):
             raise ProtocolError("parameter sets are structurally different across slices")
     equal = len(set(weights.counts)) == 1
     out = {}
     for k in keys:
         if equal:
-            acc = np.zeros_like(_np(param_sets[0][k]))
+            acc = np.zeros_like(param_sets[0][k])
             for ps in param_sets:
-                acc = acc + _np(ps[k])
+                acc = acc + ps[k]
             out[k] = acc / len(param_sets)
         else:
-            acc = np.zeros_like(_np(param_sets[0][k]))
+            acc = np.zeros_like(param_sets[0][k])
             for q, ps in zip(weights.counts, param_sets):
-                acc = acc + float(q) * _np(ps[k])
+                acc = acc + float(q) * ps[k]
             out[k] = acc / float(weights.total)
     return out
-
-
-def _np(p):
-    return p.data if isinstance(p, ad.Tensor) else np.asarray(p, dtype=np.float64)
 
 
 def apply_global(manager: ManagerNode, global_gen: dict, global_enc: dict):

@@ -32,15 +32,6 @@ class CostLedger:
     def add_phase(self, phase, seconds):
         self.phase_seconds[phase] += seconds
 
-    def totals_by_link(self):
-        totals = defaultdict(lambda: {"payload_bytes": 0, "overhead_bytes": 0, "messages": 0})
-        for rec in self.records:
-            agg = totals[rec["link"]]
-            agg["payload_bytes"] += rec["payload_bytes"]
-            agg["overhead_bytes"] += rec["overhead_bytes"]
-            agg["messages"] += 1
-        return dict(totals)
-
     def totals_by_link_class(self):
         """Collapse per-node links into the two tiers of the topology."""
         totals = defaultdict(lambda: {"payload_bytes": 0, "overhead_bytes": 0, "messages": 0})

@@ -32,6 +32,13 @@ class ModelConfig:
     def __post_init__(self):
         if self.head_mode not in ("linear", "sigmoid"):
             raise ValueError("head_mode must be 'linear' or 'sigmoid'")
+        for name in ("features", "window", "latent_dim", "gen_hidden", "critic_hidden"):
+            value = getattr(self, name)
+            layers = name.endswith("_hidden")
+            sizes = list(value) if layers else [value]
+            if (layers and len(sizes) != 2) or not all(type(v) is int and v >= 1 for v in sizes):
+                what = "two positive integers" if layers else "a positive integer"
+                raise ValueError(f"model.{name} must be {what}, got {value!r}")
 
     @property
     def pair_dim(self):
@@ -64,7 +71,8 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.distribution not in ("normal", "uniform"):
-            raise ValueError("noise distribution must be 'normal' or 'uniform'")
+            raise ValueError("noise distribution must be 'normal' or 'uniform', "
+                             f"got {self.distribution!r}")
 
     def sample(self, rng, batch):
         if self.distribution == "normal":
@@ -170,16 +178,6 @@ class CriticModel:
 
 # ---------------------------------------------------------------------------
 # critic rows
-
-
-def generate(g: GeneratorModel, z) -> np.ndarray:
-    with ad.no_record():
-        return g(ad.tensor(np.asarray(z, dtype=np.float64))).data
-
-
-def encode(e: EncoderModel, x) -> np.ndarray:
-    with ad.no_record():
-        return e(ad.tensor(np.asarray(x, dtype=np.float64))).data
 
 
 def pair_rows(windows, latent) -> np.ndarray:

@@ -21,7 +21,6 @@ import numpy as np
 
 HEADER = struct.Struct("<IiiI")
 U32 = struct.Struct("<I")
-WIRE_VERSION = 1
 
 MSG_DATA_BATCH = 1
 MSG_GEN_PACKET = 2

@@ -49,8 +49,6 @@ def test_unary_grads():
         _g(ad.tsum(ad.tanh(x)), x), 1 - np.tanh(x.data) ** 2)
     s = 1 / (1 + np.exp(-x.data))
     np.testing.assert_allclose(_g(ad.tsum(ad.sigmoid(x)), x), s * (1 - s))
-    np.testing.assert_allclose(_g(ad.tsum(ad.exp(x)), x), np.exp(x.data))
-    np.testing.assert_allclose(_g(ad.tsum(ad.softplus(x)), x), s)
 
 
 def test_log_div_grads():
@@ -174,13 +172,6 @@ def test_disconnected_leaf_gets_zeros():
     out = ad.tsum(ad.mul(x, x))
     g = ad.grad(out, [y])[0]
     np.testing.assert_array_equal(g.data, [0.0])
-
-
-def test_operator_sugar():
-    x = ad.tensor([3.0], requires_grad=True)
-    out = ad.tsum((x * 2 + 1 - x) / 2)
-    np.testing.assert_allclose(out.data, 2.0)
-    np.testing.assert_allclose(_g(out, x), [0.5])
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,18 @@ def test_synth_writes_csv(tmp_path):
     assert (tmp_path / "b.csv").read_text() == out.read_text()
 
 
+def test_synth_seed_zero_is_its_own_series(tmp_path):
+    from fedbiwgan.data import SynthSpec, synth_dataset
+
+    zero, default = tmp_path / "zero.csv", tmp_path / "default.csv"
+    assert main(["synth", "--out", str(zero), "--length", "20", "--seed", "0"]) == 0
+    assert main(["synth", "--out", str(default), "--length", "20"]) == 0
+    for path, seed in ((zero, 0), (default, 7)):
+        written = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:]
+        np.testing.assert_allclose(written, synth_dataset(SynthSpec(20, seed=seed)), rtol=1e-9)
+    assert zero.read_text() != default.read_text()
+
+
 def test_compare_single_variant(trained_run, tmp_path):
     cfg, _ = trained_run
     out = tmp_path / "cmp"

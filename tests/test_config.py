@@ -63,6 +63,10 @@ def test_resolve_rejects_bad_values():
         ("injection", "rate", "high"), ("injection", "rate", 1.5),
         ("injection", "magnitude", "big"), ("injection", "seed", None),
         ("data", "label_column", "anomaly"),
+        ("model", "gen_hidden", [32]), ("model", "critic_hidden", [0, 4]),
+        ("model", "latent_dim", -3), ("model", "window", 0), ("model", "features", 0),
+        ("model", "gen_hidden", [8, 8, 8]), ("model", "critic_hidden", [4.5, 4]),
+        ("training", "noise", "cauchy"),
     ]:
         with pytest.raises(ConfigError, match=field):
             resolve_experiment({section: {field: value}})

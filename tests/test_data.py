@@ -18,7 +18,6 @@ from fedbiwgan.data import (
     make_windows,
     split_windows,
     synth_dataset,
-    window_labels,
 )
 from fedbiwgan.experiment import build_node_data
 
@@ -38,16 +37,15 @@ def _write_csv(path, rows, header=None):
 def test_load_empty_file(tmp_path):
     p = tmp_path / "empty.csv"
     _write_csv(p, [])
-    values, labels = load_dataset(p)
+    values = load_dataset(p)
     assert values.shape == (0, 26) and values.dtype == np.float64
-    assert labels is None
 
 
 def test_load_three_rows_in_order(tmp_path):
     p = tmp_path / "three.csv"
     rows = [[i] + [float(i * 100 + j) for j in range(26)] for i in range(3)]
     _write_csv(p, rows)
-    values, _ = load_dataset(p)
+    values = load_dataset(p)
     assert values.shape == (3, 26)
     np.testing.assert_array_equal(values, np.array(rows, dtype=np.float64)[:, 1:])
 
@@ -71,36 +69,33 @@ def test_load_column_mapping_and_labels(tmp_path):
     header = ["weird_idle"] + FEATURE_NAMES[1:] + ["anomaly"]
     rows = [[5.0] + [0.0] * 25 + [1], [6.0] + [0.0] * 25 + [0], [7.0] + [0.0] * 25 + [""]]
     _write_csv(p, rows, header)
-    values, labels = load_dataset(p, column_mapping={"cpu_idle_pct": "weird_idle"},
-                                  label_column="anomaly")
-    assert labels.tolist() == [1, 0, -1]
-    assert values[0, 0] == 5.0
+    values = load_dataset(p, column_mapping={"cpu_idle_pct": "weird_idle"})
+    assert values[:, 0].tolist() == [5.0, 6.0, 7.0]
 
 
 @pytest.mark.parametrize("bad_row", [
     [0.0] * 25 + ["inf", 0],
     [0.0] * 25 + ["-inf", 0],
     [0.0] * 25 + ["x1", 0],
-    [0.0] * 26 + ["yes"],
-    [0.0] * 26 + ["nan"],
+    [0.0] * 25 + ["yes", 0],
+    [0.0] * 25 + ["1e999", 0],
 ])
 def test_load_unparseable_cell_skips_row_or_names_line(tmp_path, bad_row):
     p = tmp_path / "bad.csv"
     rows = [[1.0] * 26 + [0], bad_row, [2.0] * 26 + [1]]
     _write_csv(p, rows, FEATURE_NAMES + ["anomaly"])
-    values, labels = load_dataset(p, label_column="anomaly")
+    values = load_dataset(p)
     assert np.isfinite(values).all()
     np.testing.assert_array_equal(values[:, 0], [1.0, 2.0])
-    assert labels.tolist() == [0, 1]
     with pytest.raises(DataError, match=r"bad\.csv:3: unparseable"):
-        load_dataset(p, label_column="anomaly", strict=True)
+        load_dataset(p, strict=True)
 
 
 def test_gap_interpolation_short_gap(tmp_path):
     p = tmp_path / "gap.csv"
     rows = [[0] + [1.0] * 26, [1] + [""] * 26, [2] + [3.0] * 26]
     _write_csv(p, rows)
-    values, _ = load_dataset(p)
+    values = load_dataset(p)
     assert values.shape == (3, 26)
     np.testing.assert_allclose(values[1], np.full(26, 2.0))
 
@@ -111,7 +106,7 @@ def test_gap_too_long_drops_rows(tmp_path):
     rows += [[i] + [""] * 26 for i in range(1, 4)]
     rows += [[4] + [5.0] * 26]
     _write_csv(p, rows)
-    values, _ = load_dataset(p, max_gap=2)
+    values = load_dataset(p, max_gap=2)
     assert values.shape == (2, 26)
 
 
@@ -133,13 +128,6 @@ def test_normalizer_constant_feature_is_zero():
 def test_normalizer_no_clipping():
     norm = Normalizer(minimum=np.zeros(1), maximum=np.ones(1))
     assert norm.apply(np.array([[2.5]]))[0, 0] == 2.5
-
-
-def test_normalizer_roundtrip():
-    rng = np.random.default_rng(0)
-    values = rng.random((50, 26)) * 100
-    norm = fit_normalizer(values)
-    np.testing.assert_allclose(norm.invert(norm.apply(values)), values, atol=1e-12)
 
 
 def test_fit_normalizer_empty():
@@ -168,12 +156,6 @@ def test_window_longer_than_series():
             resolve_experiment({"data": {"source": "synth", "length": 50, "stride": stride}})
 
 
-def test_window_label_any_abnormal():
-    labels = np.array([0, 0, 1, 0, -1])
-    assert window_labels(labels, 2, 1).tolist() == [0, 1, 1, 0]
-    assert window_labels(labels, 2, 2).tolist() == [0, 1]
-
-
 def _loop_windows(values, t, stride):
     """Reference: one explicit slice per window start."""
     starts = range(0, values.shape[0] - t + 1, stride)
@@ -194,10 +176,6 @@ def test_make_windows_matches_loop_reference(rows, t, stride, features, seed):
     assert out.shape == ref.shape == (len(range(0, rows - t + 1, stride)), t, features)
     assert out.dtype == np.float64 and out.flags["C_CONTIGUOUS"]
     assert out.tobytes() == ref.tobytes()
-    labels = np.random.default_rng(seed + 1).integers(-1, 2, rows)
-    ref_labels = [int(any(l == 1 for l in labels[i:i + t]))
-                  for i in range(0, rows - t + 1, stride)]
-    assert window_labels(labels, t, stride).tolist() == ref_labels
 
 
 def test_split_ratios():

@@ -1,0 +1,45 @@
+"""Every function, class and method in the package has a caller in the
+package itself: a name that only tests reach is dead code."""
+
+import ast
+from pathlib import Path
+
+import fedbiwgan
+
+# reached only from tests on purpose: the acceptance gate calls the first
+# five, and overhead_bytes is the test oracle of the wire layout
+ALLOWED = {
+    ("autodiff", "concat"),
+    ("nn", "gradient_penalty_backward"),
+    ("experiment", "calibrate_experiment"),
+    ("experiment", "detect_experiment"),
+    ("ledger", "CostLedger.message_count"),
+    ("wire", "overhead_bytes"),
+}
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    defined, used = [], set()
+    for path in sorted(Path(fedbiwgan.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.stem, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(path.stem, f"{node.name}.{item.name}", item.name)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef) and not _dunder(item.name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.asname or node.name)
+    unused = {(module, qualname) for module, qualname, name in defined if name not in used}
+    assert unused - ALLOWED == set()
+    assert ALLOWED - unused == set(), "an allowed name now has a caller; drop it from ALLOWED"
