@@ -1,17 +1,21 @@
 """Self-describing binary container for model parameters and window
-stores: a magic/version header, a JSON metadata block, and per-tensor
-name records, each followed by the tensor in the wire codec. Byte-identical
-across platforms (everything little-endian, dict keys sorted).
+stores: a magic/version header and the CRC-32 of the body, then the body:
+a JSON metadata block and per-tensor name records, each followed by the
+tensor in the wire codec. Byte-identical across platforms (everything
+little-endian, dict keys sorted).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import zlib
 
 from . import wire
+from .models import ModelConfig
 
 MAGIC = b"FBWGCKPT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -21,13 +25,13 @@ class CheckpointError(ValueError):
 def save_container(path, metadata: dict, tensors: dict):
     """Write tensors (name -> array) with a JSON metadata block."""
     meta = json.dumps(metadata, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    parts = [MAGIC, wire.U32.pack(FORMAT_VERSION), wire.U32.pack(len(meta)), meta,
-             wire.U32.pack(len(tensors))]
+    parts = [wire.U32.pack(len(meta)), meta, wire.U32.pack(len(tensors))]
     for name in sorted(tensors):
         encoded = name.encode("utf-8")
         parts += [wire.U32.pack(len(encoded)), encoded, wire.encode_tensor(tensors[name])]
+    body = b"".join(parts)
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(MAGIC + wire.U32.pack(FORMAT_VERSION) + wire.U32.pack(zlib.crc32(body)) + body)
 
 
 def load_container(path):
@@ -41,6 +45,8 @@ def load_container(path):
         version, offset = wire.read_u32(buf, 8)
         if version != FORMAT_VERSION:
             raise CheckpointError(f"{path}: unsupported format version {version}")
+        checksum, offset = wire.read_u32(buf, offset)
+        body = memoryview(buf)[offset:]
         meta_len, offset = wire.read_u32(buf, offset)
         meta, offset = wire.read(buf, offset, meta_len)
         metadata = json.loads(meta.decode("utf-8"))
@@ -54,6 +60,8 @@ def load_container(path):
             tensors[name.decode("utf-8")], offset = wire.decode_tensor(buf, offset)
         if offset != len(buf):
             raise CheckpointError(f"{path}: {len(buf) - offset} trailing bytes")
+        if zlib.crc32(body) != checksum:
+            raise CheckpointError(f"{path}: corrupt checkpoint: checksum mismatch")
     except (wire.WireError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint: {exc}") from None
     return metadata, tensors
@@ -69,7 +77,7 @@ def save_models(path, model_cfg, models: dict, extra_meta=None):
     for prefix, model in models.items():
         for name, p in model.params().items():
             tensors[f"{prefix}:{name}"] = p.data
-    meta = {"model_config": model_cfg.to_dict(), "models": sorted(models)}
+    meta = {"model_config": dataclasses.asdict(model_cfg), "models": sorted(models)}
     meta.update(extra_meta or {})
     save_container(path, meta, tensors)
 
@@ -77,20 +85,18 @@ def save_models(path, model_cfg, models: dict, extra_meta=None):
 def load_models(path, builders):
     """Rebuild models from a bundle; builders maps prefix -> callable(cfg)
     returning a freshly initialized model whose params get overwritten."""
-    from .models import ModelConfig
-
     metadata, tensors = load_container(path)
     cfg_dict, prefixes = metadata.get("model_config"), metadata.get("models")
     if not isinstance(prefixes, list) or not all(isinstance(m, str) for m in prefixes):
         raise CheckpointError(f"{path}: metadata needs a 'models' list of names")
-    fields = sorted(ModelConfig().to_dict())
+    fields = sorted(f.name for f in dataclasses.fields(ModelConfig))
     if not isinstance(cfg_dict, dict) or sorted(cfg_dict) != fields:
         raise CheckpointError(
             f"{path}: metadata needs a 'model_config' object with the fields {fields}, "
             f"got {cfg_dict!r}"
         )
     try:
-        cfg = ModelConfig.from_dict(cfg_dict)
+        cfg = ModelConfig(**cfg_dict)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad model_config: {exc}") from None
     models = {}

@@ -10,14 +10,21 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_models, save_models
-from .config import ConfigError, load_experiment, resolve_experiment
-from .data import FEATURE_NAMES, SynthSpec, synth_dataset
-from .detection import calibrate_threshold, classify, evaluate
+from .checkpoint import load_container, load_models, save_container, save_models
+from .config import (
+    ConfigError,
+    config_hash,
+    load_experiment,
+    resolve_experiment,
+    resolve_section,
+)
+from .data import FEATURE_NAMES, InjectionConfig, SynthSpec, synth_dataset
+from .detection import DetectionConfig, calibrate_threshold, classify, evaluate
 from .experiment import (
     _injected_samples,
     build_node_data,
@@ -25,10 +32,11 @@ from .experiment import (
     detect_monitors,
     train_experiment,
 )
-from .federation import MODES
-from .ledger import CostLedger, flop_estimates
+from .federation import MODES, TopologySpec, TrainingConfig
+from .gradcheck import run_gradcheck
+from .ledger import CostLedger, _link_class, flop_estimates
 from .models import CriticModel, EncoderModel, GeneratorModel
-from .variants import ALL_VARIANTS
+from .variants import ALL_VARIANTS, train_variant
 
 
 class UsageError(Exception):
@@ -57,12 +65,38 @@ def _unit_interval(text):
     return value
 
 
+@dataclass
+class Manifest:
+    """A run's manifest.json; `training` holds only the loop counts."""
+
+    config_hash: str
+    seed: int
+    mode: str
+    topology: TopologySpec
+    training: TrainingConfig
+    gamma: float
+    injection: InjectionConfig
+    param_counts: dict[str, int]
+    phase_seconds: dict[str, float]
+    artifacts: list
+
+    def __post_init__(self):
+        TrainingConfig(mode=self.mode), DetectionConfig(self.gamma)  # their owners' checks
+
+
 def _load_run(run_dir):
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise UsageError(f"{run_dir}: no manifest.json (not a run directory?)")
-    return run_dir, _read_json(manifest_path)
+    doc = _read_json(manifest_path)
+    for f in fields(Manifest):
+        if not isinstance(doc, dict) or f.name not in doc:
+            raise UsageError(f"{manifest_path}: no {f.name!r} key; train the run again")
+    try:
+        return run_dir, resolve_section(Manifest, "", doc)
+    except ConfigError as exc:
+        raise UsageError(f"{manifest_path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +108,8 @@ def cmd_train(args):
     if args.seed is not None:
         exp = resolve_experiment({**exp.raw, "seed": args.seed})
     if args.mode is not None:
-        raw = dict(exp.raw)
-        raw["training"] = {**raw.get("training", {}), "mode": args.mode}
-        exp = resolve_experiment(raw)
+        training = {**exp.raw.get("training", {}), "mode": args.mode}
+        exp = resolve_experiment({**exp.raw, "training": training})
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -95,8 +128,6 @@ def cmd_train(args):
 
     win_dir = out / "windows"
     win_dir.mkdir(exist_ok=True)
-    from .checkpoint import save_container
-
     for (s, n), nd in sorted(nodes.items()):
         path = win_dir / f"node_{s}_{n}.ckpt"
         save_container(path, {"config_hash": exp.hash, "node": _node_key(s, n)}, {
@@ -121,14 +152,13 @@ def cmd_train(args):
         "config_hash": exp.hash,
         "seed": exp.seed,
         "mode": exp.training.mode,
-        "topology": {"slices": exp.topology.slices,
-                     "monitors_per_slice": exp.topology.monitors_per_slice},
+        "topology": asdict(exp.topology),
         "training": {"iterations": exp.training.iterations,
                      "critic_iters": exp.training.critic_iters,
                      "local_iters": exp.training.local_iters,
                      "batch_size": exp.training.batch_size},
-        "gamma": exp.gamma,
-        "injection": exp.injection,
+        "gamma": exp.detection.gamma,
+        "injection": asdict(exp.injection),
         "param_counts": result.ledger.param_counts,
         "phase_seconds": dict(result.ledger.phase_seconds),
         "artifacts": sorted(artifacts) + ["manifest.json"],
@@ -140,23 +170,21 @@ def cmd_train(args):
 def _load_bundles(run_dir, manifest, split):
     """Each monitor's (g, e, d) from its checkpoint and its stored `split`
     windows, as two (s, n)-keyed mappings."""
-    from .checkpoint import load_container
-
     builders = {
         "generator": lambda cfg: GeneratorModel(cfg, np.random.default_rng(0)),
         "encoder": lambda cfg: EncoderModel(cfg, np.random.default_rng(0)),
         "critic": lambda cfg: CriticModel(cfg, np.random.default_rng(0)),
     }
     bundles, windows = {}, {}
-    topo = manifest["topology"]
-    for s in range(topo["slices"]):
-        for n in range(topo["monitors_per_slice"]):
+    topo = manifest.topology
+    for s in range(topo.slices):
+        for n in range(topo.monitors_per_slice):
             # a centralized run trains one pooled model at (0, 0)
-            cs, cn = (0, 0) if manifest["mode"] == "centralized" else (s, n)
+            cs, cn = (0, 0) if manifest.mode == "centralized" else (s, n)
             meta, cfg, models = load_models(
                 run_dir / "checkpoints" / f"node_{cs}_{cn}.ckpt", builders
             )
-            if meta.get("config_hash") != manifest["config_hash"]:
+            if meta.get("config_hash") != manifest.config_hash:
                 raise UsageError(
                     f"provenance error: checkpoint node_{s}_{n}.ckpt was produced by a "
                     f"different config (hash {meta.get('config_hash')})"
@@ -169,11 +197,11 @@ def _load_bundles(run_dir, manifest, split):
 
 def cmd_calibrate(args):
     run_dir, manifest = _load_run(args.run)
-    gamma = manifest["gamma"] if args.gamma is None else args.gamma
+    gamma = manifest.gamma if args.gamma is None else args.gamma
     bundles, val = _load_bundles(run_dir, manifest, "val")
-    thresholds = calibrate_monitors(bundles, val, manifest["injection"], gamma)
+    thresholds = calibrate_monitors(bundles, val, manifest.injection, gamma)
     _write_json(run_dir / "thresholds.json", {
-        "config_hash": manifest["config_hash"],
+        "config_hash": manifest.config_hash,
         "gamma": gamma,
         "per_node": {
             _node_key(*key): {k: v for k, v in entry.items() if k != "degenerate" or v}
@@ -196,7 +224,7 @@ def cmd_detect(args, with_metrics=False):
     gamma = th_doc["gamma"]
     if isinstance(gamma, bool) or not isinstance(gamma, (int, float)) or not 0 <= gamma <= 1:
         raise UsageError(f"{th_path}: 'gamma' must lie in [0, 1], got {gamma!r}")
-    if th_doc["config_hash"] != manifest["config_hash"]:
+    if th_doc["config_hash"] != manifest.config_hash:
         raise UsageError("provenance error: thresholds were calibrated for a different config")
     bundles, test = _load_bundles(run_dir, manifest, "test")
     thresholds = {}
@@ -206,7 +234,7 @@ def cmd_detect(args, with_metrics=False):
             raise UsageError(f"{th_path}: no threshold for monitor {_node_key(*key)}; "
                              "run calibrate again")
         thresholds[key] = entry["threshold"]
-    per_node, metrics, fault_recall = detect_monitors(bundles, test, manifest["injection"],
+    per_node, metrics, fault_recall = detect_monitors(bundles, test, manifest.injection,
                                                       thresholds, gamma)
     with open(run_dir / "scores.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -225,7 +253,7 @@ def cmd_detect(args, with_metrics=False):
 
     counts = metrics["counts"]
     doc = {
-        "config_hash": manifest["config_hash"],
+        "config_hash": manifest.config_hash,
         "gamma": gamma,
         "counts": {"tp": counts.tp, "tn": counts.tn, "fp": counts.fp, "fn": counts.fn},
         "per_fault_recall": {
@@ -248,9 +276,6 @@ def cmd_evaluate(args):
 
 
 def cmd_compare(args):
-    from .config import config_hash
-    from .variants import train_variant
-
     exp = load_experiment(args.config)
     variants = args.variants.split(",") if args.variants else list(ALL_VARIANTS)
     for v in variants:
@@ -265,16 +290,18 @@ def cmd_compare(args):
     test = np.concatenate([nd.test for nd in nodes.values()])
     val_x, val_labels, _ = _injected_samples(val, exp.injection, 0)
     test_x, test_labels, _ = _injected_samples(test, exp.injection, 1)
-    dataset_hash = config_hash({"data": exp.data, "topology": exp.raw.get("topology", {})})
+    dataset_hash = config_hash({"data": exp.raw.get("data", {}),
+                                "topology": exp.raw.get("topology", {})})
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
+    gamma = exp.detection.gamma
     for seed in seeds:
         for variant in variants:
             bundle = train_variant(variant, train, exp.model, exp.training, seed)
-            th, *_ = calibrate_threshold(bundle.score(val_x, exp.gamma).score, val_labels)
-            metrics = evaluate(test_labels, classify(bundle.score(test_x, exp.gamma).score, th))
+            th, *_ = calibrate_threshold(bundle.score(val_x, gamma).score, val_labels)
+            metrics = evaluate(test_labels, classify(bundle.score(test_x, gamma).score, th))
             rows.append({
                 "variant": variant,
                 "seed": seed,
@@ -309,8 +336,6 @@ def cmd_report_costs(args):
 
     # plot-ready per-iteration series
     series = {}
-    from .ledger import _link_class
-
     for rec in ledger.records:
         key = (rec["iteration"], _link_class(rec["link"]))
         series[key] = series.get(key, 0) + rec["payload_bytes"]
@@ -320,18 +345,17 @@ def cmd_report_costs(args):
         for (iteration, cls), payload in sorted(series.items()):
             writer.writerow([iteration, cls, payload])
 
-    training = manifest["training"]
+    training, topo = manifest.training, manifest.topology
     flops = flop_estimates(
-        manifest["param_counts"], training["iterations"], training["critic_iters"],
-        training["batch_size"], manifest["topology"]["monitors_per_slice"],
-        manifest["topology"]["slices"], training["local_iters"],
+        manifest.param_counts, training.iterations, training.critic_iters,
+        training.batch_size, topo.monitors_per_slice, topo.slices, training.local_iters,
     )
     with open(run_dir / "cost_flops.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node_class", "flop_estimate"])
         for node_class, value in sorted(flops.items()):
             writer.writerow([node_class, value])
-    _write_json(run_dir / "cost_phases.json", manifest.get("phase_seconds", {}))
+    _write_json(run_dir / "cost_phases.json", manifest.phase_seconds)
     print(f"cost tables -> {run_dir}")
     return 0
 
@@ -351,8 +375,6 @@ def cmd_synth(args):
 
 
 def cmd_gradcheck(args):
-    from .gradcheck import run_gradcheck
-
     worst = run_gradcheck(seed=args.seed or 0, verbose=True)
     if worst < 1e-4:
         print(f"gradient checks passed (max relative error {worst:.3e})")
@@ -406,9 +428,9 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a synthetic metrics CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--length", type=int, default=5000)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--length", type=int, default=SynthSpec.length)
+    p.add_argument("--noise", type=float, default=SynthSpec.noise)
+    p.add_argument("--seed", type=int, default=SynthSpec.seed)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("gradcheck", help="run the gradient oracle suite")

@@ -5,17 +5,20 @@ run manifest used for provenance checks.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass
+import math
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
 
-from .data import SynthSpec, check_rate, check_ratios, check_stride
+from .data import DataConfig, InjectionConfig
+from .detection import DetectionConfig
 from .federation import TopologySpec, TrainingConfig
 from .models import ModelConfig
-from .nn import AdamConfig
 
 
 class ConfigError(ValueError):
@@ -62,115 +65,77 @@ def config_hash(cfg: dict) -> str:
 
 @dataclass
 class Experiment:
-    """Typed view over a resolved config dict."""
+    """A resolved config: each top-level key is a field, and each section
+    is the dataclass of the module that owns its defaults."""
 
-    raw: dict
-    seed: int
-    topology: TopologySpec
-    training: TrainingConfig
-    model: ModelConfig
-    gamma: float
-    data: dict
-    injection: dict
-    hash: str
-
-
-def _section(cfg, name, default=None):
-    value = cfg.get(name, default if default is not None else {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"section {name!r} must be a mapping")
-    return value
+    seed: int = 0
+    topology: TopologySpec = field(default_factory=TopologySpec)
+    training: TrainingConfig = field(default_factory=TrainingConfig)
+    model: ModelConfig = field(default_factory=ModelConfig)
+    detection: DetectionConfig = field(default_factory=DetectionConfig)
+    data: DataConfig = field(default_factory=DataConfig)
+    injection: InjectionConfig = field(default_factory=InjectionConfig)
+    raw: dict = field(default_factory=dict, init=False)  # the config as written
+    hash: str = field(default="", init=False)
 
 
-def _coerced(cfg, name, casts):
-    """Section `name` with each field in `casts` converted by its cast."""
-    out = dict(_section(cfg, name))
-    for key, cast in casts.items():
-        if key in out:
-            try:
-                out[key] = cast(out[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{name}.{key}: {exc}")
-    return out
+_KINDS = {int: "an integer", float: "a finite number", str: "a string", tuple: "a list",
+          list: "a list", dict: "a mapping"}
 
 
-def _data_section(cfg):
-    if "label_column" in _section(cfg, "data"):
-        raise ConfigError(
-            "data.label_column is not supported: evaluation labels come from "
-            "fault injection, so a CSV's own labels would change no result"
-        )
-    data = _coerced(cfg, "data", {
-        "stride": int, "length": int, "noise": float,
-        "ratios": lambda v: tuple(float(r) for r in v),
-    })
-    if "stride" in data:
-        check_stride(data["stride"])
-    if "ratios" in data:
-        check_ratios(data["ratios"])
-    SynthSpec(**{k: data[k] for k in ("length", "noise") if k in data})
-    return data
+def _field_value(hint, key, value):
+    """`value` checked against a field's type hint: an int takes only an
+    int, a float any finite number (or numeric string, as YAML reads
+    `1e-4`), a tuple a list, a dict[K, V] a mapping of V values, and a
+    dataclass a mapping of its fields."""
+    if type(None) in typing.get_args(hint):
+        if value is None:
+            return None
+        (hint,) = set(typing.get_args(hint)) - {type(None)}
+    if dataclasses.is_dataclass(hint):
+        return resolve_section(hint, key, value)
+    origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
+    if origin is float and type(value) in (int, float, str):
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        if math.isfinite(number):
+            return number
+    elif origin is tuple and type(value) in (list, tuple):
+        return tuple(_field_value(args[0], key, v) for v in value) if args else tuple(value)
+    elif origin is dict and type(value) is dict and args:
+        return {k: _field_value(args[1], f"{key}.{k}", v) for k, v in value.items()}
+    elif type(value) is origin:
+        return value
+    raise ConfigError(f"{key} must be {_KINDS[origin]}, got {value!r}")
 
 
-def _injection_section(cfg):
-    injection = _coerced(cfg, "injection", {"rate": float, "magnitude": float, "seed": int})
-    if "rate" in injection:
-        check_rate(injection["rate"])
-    return injection
+def resolve_section(cls, name, section):
+    """Dataclass `cls` built from the config section `name` (a mapping):
+    every key must be one of its fields and fit that field's type, and a
+    missing key takes the field's own default."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name or 'the config'} must be a mapping, got {section!r}")
+    hints = typing.get_type_hints(cls)
+    keys = [f.name for f in dataclasses.fields(cls) if f.init]
+    values = {}
+    for key, value in section.items():
+        path = f"{name}.{key}" if name else str(key)
+        if key not in keys:
+            raise ConfigError(f"unknown config key {path}; valid keys are {', '.join(keys)}")
+        values[key] = _field_value(hints[key], path, value)
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        message = str(exc)  # checks shared with non-config callers already name the key
+        raise ConfigError(message if message.startswith(name) else f"{name}: {message}") from None
 
 
 def resolve_experiment(cfg: dict) -> Experiment:
-    try:
-        topo_cfg = _section(cfg, "topology")
-        topology = TopologySpec(
-            slices=int(topo_cfg.get("slices", 1)),
-            monitors_per_slice=int(topo_cfg.get("monitors_per_slice", 1)),
-        )
-        train_cfg = _section(cfg, "training")
-        adam_cfg = train_cfg.get("adam", {})
-        training = TrainingConfig(
-            mode=str(train_cfg.get("mode", "federated")),
-            iterations=int(train_cfg.get("iterations", 500)),
-            critic_iters=int(train_cfg.get("critic_iters", 5)),
-            local_iters=int(train_cfg.get("local_iters", 10)),
-            batch_size=int(train_cfg.get("batch_size", 64)),
-            eta=float(train_cfg.get("eta", 10.0)),
-            adam=AdamConfig(
-                alpha=float(adam_cfg.get("alpha", 1e-4)),
-                beta1=float(adam_cfg.get("beta1", 0.5)),
-                beta2=float(adam_cfg.get("beta2", 0.9)),
-                epsilon_stability=float(adam_cfg.get("epsilon", 1e-8)),
-            ),
-            noise=str(train_cfg.get("noise", "normal")),
-        )
-        model_cfg = _section(cfg, "model")
-        model = ModelConfig(
-            features=int(model_cfg.get("features", 26)),
-            window=int(model_cfg.get("window", 8)),
-            latent_dim=int(model_cfg.get("latent_dim", 16)),
-            gen_hidden=tuple(model_cfg.get("gen_hidden", (32, 32))),
-            critic_hidden=tuple(model_cfg.get("critic_hidden", (64, 32))),
-            head_mode=str(model_cfg.get("head_mode", "linear")),
-        )
-        detection_cfg = _section(cfg, "detection")
-        gamma = float(detection_cfg.get("gamma", 0.9))
-        if not (0.0 <= gamma <= 1.0):
-            raise ConfigError("detection.gamma must lie in [0, 1]")
-        return Experiment(
-            raw=cfg,
-            seed=int(cfg.get("seed", 0)),
-            topology=topology,
-            training=training,
-            model=model,
-            gamma=gamma,
-            data=_data_section(cfg),
-            injection=_injection_section(cfg),
-            hash=config_hash(cfg),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc))
+    exp = resolve_section(Experiment, "", cfg)
+    exp.raw, exp.hash = cfg, config_hash(cfg)
+    return exp
 
 
 def load_experiment(path) -> Experiment:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -151,7 +151,7 @@ def fit_normalizer(train_values) -> Normalizer:
 
 
 # ---------------------------------------------------------------------------
-# windowing and splits
+# config sections, windowing and splits
 
 
 def check_stride(stride):
@@ -166,12 +166,55 @@ def check_ratios(ratios):
         )
 
 
-def check_rate(rate):
-    if not 0.0 <= rate <= 1.0:
-        raise DataError(f"injection.rate must lie in [0, 1], got {rate}")
+@dataclass
+class SynthSpec:
+    length: int = 5000
+    noise: float = 0.05
+    seed: int = 7
+    features: int = NUM_FEATURES
+
+    def __post_init__(self):
+        if self.length < 1:
+            raise DataError("length must be >= 1")
+        if not self.noise >= 0:
+            raise DataError(f"noise must be >= 0, got {self.noise}")
 
 
-def make_windows(values, t, stride=1):
+@dataclass
+class DataConfig:
+    """The `data` config section: each monitor's series and its windows."""
+
+    source: str = "synth"  # "synth" or "csv"
+    length: int = SynthSpec.length
+    noise: float = SynthSpec.noise
+    seed: int | None = None  # synthetic series seed; None means the run seed
+    stride: int = 1
+    ratios: tuple[float, ...] = (0.6, 0.2, 0.2)
+    paths: dict[str, str] = field(default_factory=dict)  # "s.n" -> CSV of monitor (s, n)
+    mapping: dict[str, str] = field(default_factory=dict)  # feature name -> CSV column
+
+    def __post_init__(self):
+        if self.source not in ("synth", "csv"):
+            raise DataError(f"data.source must be 'synth' or 'csv', got {self.source!r}")
+        check_stride(self.stride)
+        check_ratios(self.ratios)
+        SynthSpec(self.length, self.noise)
+
+
+@dataclass
+class InjectionConfig:
+    """The `injection` config section: the val/test fault mix (test seed + 1)."""
+
+    rate: float = 0.1
+    magnitude: float = 2.5
+    seed: int = 0
+
+    def __post_init__(self):
+        if not 0.0 <= self.rate <= 1.0:
+            raise DataError(f"injection.rate must lie in [0, 1], got {self.rate}")
+
+
+def make_windows(values, t, stride=DataConfig.stride):
     """Every stride-th run of t consecutive rows of a [rows, features]
     matrix, as a C-contiguous float64 [n, t, features] array."""
     values = np.asarray(values, dtype=np.float64)
@@ -184,7 +227,7 @@ def make_windows(values, t, stride=1):
     return np.ascontiguousarray(np.moveaxis(view, -1, 1))
 
 
-def split_windows(windows, ratios=(0.6, 0.2, 0.2)):
+def split_windows(windows, ratios=DataConfig.ratios):
     """Chronological train/val/test split; no shuffling across time."""
     check_ratios(ratios)
     n = len(windows)
@@ -228,7 +271,8 @@ def _perturb(windows, fault_type, magnitude):
     return w
 
 
-def inject_faults(windows, rate, magnitude=2.5, seed=0, faults=FAULT_TYPES):
+def inject_faults(windows, rate, magnitude=InjectionConfig.magnitude, seed=InjectionConfig.seed,
+                  faults=FAULT_TYPES):
     """Perturb a seeded round(rate * n) of the [n, t, features] windows,
     cycling through `faults` on disjoint window sets.
 
@@ -236,7 +280,7 @@ def inject_faults(windows, rate, magnitude=2.5, seed=0, faults=FAULT_TYPES):
     perturbed (all others bitwise untouched), an [n] int array that is 1
     on injected windows, and an [n] object array of fault names (None on
     untouched windows)."""
-    check_rate(rate)
+    InjectionConfig(rate, magnitude, seed)
     if not faults or not set(faults) <= set(FAULT_TYPES):
         raise DataError(f"unknown fault types {list(faults)}; valid types are {list(FAULT_TYPES)}")
     x = np.array(windows, dtype=np.float64)
@@ -256,20 +300,6 @@ def inject_faults(windows, rate, magnitude=2.5, seed=0, faults=FAULT_TYPES):
 
 # ---------------------------------------------------------------------------
 # synthetic generator
-
-
-@dataclass
-class SynthSpec:
-    length: int = 5000
-    noise: float = 0.05
-    seed: int = 7
-    features: int = NUM_FEATURES
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise DataError("length must be >= 1")
-        if not self.noise >= 0:
-            raise DataError(f"noise must be >= 0, got {self.noise}")
 
 
 def synth_dataset(spec: SynthSpec) -> np.ndarray:

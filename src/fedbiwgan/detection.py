@@ -26,6 +26,17 @@ class DetectionError(ValueError):
 
 
 @dataclass
+class DetectionConfig:
+    """The `detection` config section: gamma weighs the reconstruction term."""
+
+    gamma: float = 0.9
+
+    def __post_init__(self):
+        if not 0.0 <= self.gamma <= 1.0:
+            raise DetectionError(f"detection.gamma must lie in [0, 1], got {self.gamma}")
+
+
+@dataclass
 class ConfusionCounts:
     tp: int = 0
     tn: int = 0
@@ -44,8 +55,7 @@ def score_windows(windows, g: GeneratorModel, e: EncoderModel | None, d: CriticM
     Returns an [n] record array of float64 fields score,
     reconstruction_term and discriminator_term. With e None the critic
     reads the window alone and the score is its confidence term alone."""
-    if not (0.0 <= gamma <= 1.0):
-        raise DetectionError("gamma must lie in [0, 1]")
+    DetectionConfig(gamma)
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim != 3:
         raise DetectionError(f"expected [n, t, features] windows, got shape {x.shape}")

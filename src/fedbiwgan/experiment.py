@@ -46,34 +46,21 @@ class NodeData:
 def build_node_data(exp: Experiment) -> dict:
     """Per-monitor window shards from the configured data source; the
     normalizer for each monitor is fitted on its own training split."""
-    data_cfg = exp.data
-    source = data_cfg.get("source", "synth")
-    t = exp.model.window
-    stride = int(data_cfg.get("stride", 1))
-    ratios = tuple(data_cfg.get("ratios", (0.6, 0.2, 0.2)))
+    data = exp.data
+    seed = exp.seed if data.seed is None else data.seed
     nodes = {}
     for s in range(exp.topology.slices):
         for n in range(exp.topology.monitors_per_slice):
-            if source == "synth":
-                spec = SynthSpec(
-                    length=int(data_cfg.get("length", 5000)),
-                    noise=float(data_cfg.get("noise", 0.05)),
-                    seed=int(
-                        np.random.SeedSequence(
-                            [int(data_cfg.get("seed", exp.seed)), s, n]
-                        ).generate_state(1)[0]
-                    ),
-                )
-                values = synth_dataset(spec)
-            elif source == "csv":
-                paths = data_cfg.get("paths", {})
-                key = f"{s}.{n}"
-                if key not in paths:
-                    raise ConfigError(f"data.paths has no entry for monitor {key}")
-                values = load_dataset(paths[key], column_mapping=data_cfg.get("mapping"))
+            if data.source == "synth":
+                node_seed = int(np.random.SeedSequence([seed, s, n]).generate_state(1)[0])
+                values = synth_dataset(SynthSpec(data.length, data.noise, node_seed))
             else:
-                raise ConfigError(f"unknown data source {source!r}")
-            splits = split_windows(make_windows(values, t, stride), ratios)
+                key = f"{s}.{n}"
+                if key not in data.paths:
+                    raise ConfigError(f"data.paths has no entry for monitor {key}")
+                values = load_dataset(data.paths[key], column_mapping=data.mapping)
+            splits = split_windows(make_windows(values, exp.model.window, data.stride),
+                                   data.ratios)
             normalizer = fit_normalizer(splits["train"])
             nodes[(s, n)] = NodeData(
                 **{name: normalizer.apply(w) for name, w in splits.items()},
@@ -90,14 +77,10 @@ def train_experiment(exp: Experiment, nodes: dict | None = None):
 
 
 def _injected_samples(windows, injection, seed_offset):
-    """inject_faults with the rate, magnitude and seed of an `injection`
-    config section; the seed is offset per split (val 0, test 1)."""
-    return inject_faults(
-        windows,
-        rate=float(injection.get("rate", 0.1)),
-        magnitude=float(injection.get("magnitude", 2.5)),
-        seed=int(injection.get("seed", 0)) + seed_offset,
-    )
+    """inject_faults with the rate, magnitude and seed of an injection
+    config; the seed is offset per split (val 0, test 1)."""
+    return inject_faults(windows, rate=injection.rate, magnitude=injection.magnitude,
+                         seed=injection.seed + seed_offset)
 
 
 def score_monitors(bundles, windows, injection, seed_offset, gamma):
@@ -146,7 +129,7 @@ def _bundles(result: RunResult, nodes: dict):
 
 def calibrate_experiment(exp: Experiment, result: RunResult, nodes: dict, gamma=None):
     """Per-monitor thresholds from the injected validation split."""
-    gamma = exp.gamma if gamma is None else gamma
+    gamma = exp.detection.gamma if gamma is None else gamma
     val = {key: nd.val for key, nd in nodes.items()}
     return calibrate_monitors(_bundles(result, nodes), val, exp.injection, gamma)
 
@@ -156,7 +139,7 @@ def detect_experiment(exp: Experiment, result: RunResult, nodes: dict,
     """Score and classify the injected test split on every monitor;
     returns detect_monitors' (per_node, pooled metrics, per-fault
     recall)."""
-    gamma = exp.gamma if gamma is None else gamma
+    gamma = exp.detection.gamma if gamma is None else gamma
     test = {key: nd.test for key, nd in nodes.items()}
     return detect_monitors(
         _bundles(result, nodes), test, exp.injection,

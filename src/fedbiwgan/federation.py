@@ -69,8 +69,8 @@ def _require_finite_members(arrays, monitors, what, iteration):
 
 @dataclass
 class TopologySpec:
-    slices: int
-    monitors_per_slice: int
+    slices: int = 1
+    monitors_per_slice: int = 1
 
     def __post_init__(self):
         if self.slices < 1 or self.monitors_per_slice < 1:
@@ -99,7 +99,7 @@ class TrainingConfig:
             raise ValueError("critic_iters, local_iters and batch_size must be >= 1")
         if self.eta < 0:
             raise ValueError("eta must be non-negative")
-        NoiseSpec(self.noise)
+        NoiseSpec(self.noise, latent_dim=0)  # checks the name; each manager sizes its prior
 
 
 @dataclass

@@ -7,6 +7,8 @@ relative error max(|a - b|) / max(1, |a|, |b|) over all coordinates.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import autodiff as ad
@@ -172,16 +174,14 @@ def run_gradcheck(seed=0, verbose=False):
     record("encoder", _check_net(enc, xw, _quad_loss))
 
     for head in ("linear", "sigmoid"):
-        dcfg = ModelConfig(features=3, window=3, latent_dim=2,
-                           gen_hidden=(3, 3), critic_hidden=(4, 3), head_mode=head)
+        dcfg = replace(cfg, head_mode=head)
         critic = CriticModel(dcfg, rng)
         u = rng.standard_normal((3, dcfg.pair_dim))
         record(f"critic[{head}]", _check_net(critic, u, _quad_loss))
 
     # full critic objective with the gradient penalty (second derivatives)
+    dcfg = replace(cfg, features=2, window=2)
     for eta in (0.0, 1.0, 10.0):
-        dcfg = ModelConfig(features=2, window=2, latent_dim=2,
-                           gen_hidden=(3, 3), critic_hidden=(4, 3))
         critic = CriticModel(dcfg, rng)
         m = 3
         real, fake = _random_rows(rng, m), _random_rows(rng, m)
@@ -191,8 +191,6 @@ def run_gradcheck(seed=0, verbose=False):
 
     # per-example error feedbacks vs finite differences on the inputs
     for m in (2, 4):
-        dcfg = ModelConfig(features=2, window=2, latent_dim=2,
-                           gen_hidden=(3, 3), critic_hidden=(4, 3))
         critic = CriticModel(dcfg, rng)
         real_flat = rng.standard_normal((m, dcfg.pair_dim))
         fake_flat = rng.standard_normal((m, dcfg.pair_dim))
@@ -200,11 +198,9 @@ def run_gradcheck(seed=0, verbose=False):
 
     # every objective: its critic loss and the feedbacks that train G and E
     for name, objective in OBJECTIVES.items():
-        dcfg = ModelConfig(features=2, window=2, latent_dim=2,
-                           gen_hidden=(3, 3), critic_hidden=(4, 3),
-                           head_mode="sigmoid" if objective.value == "minimax" else "linear")
-        critic = CriticModel(dcfg, rng, input_dim=None if objective.joint
-                             else dcfg.window * dcfg.features)
+        head = "sigmoid" if objective.value == "minimax" else "linear"
+        critic = CriticModel(replace(dcfg, head_mode=head), rng,
+                             input_dim=None if objective.joint else dcfg.window * dcfg.features)
         m = 3
         real, fake = _random_rows(rng, m), _random_rows(rng, m)
         eps = rng.uniform(0.0, 1.0, m)

@@ -35,39 +35,23 @@ class ModelConfig:
         for name in ("features", "window", "latent_dim", "gen_hidden", "critic_hidden"):
             value = getattr(self, name)
             layers = name.endswith("_hidden")
-            sizes = list(value) if layers else [value]
+            sizes = value if layers and isinstance(value, (list, tuple)) else [value]
             if (layers and len(sizes) != 2) or not all(type(v) is int and v >= 1 for v in sizes):
                 what = "two positive integers" if layers else "a positive integer"
                 raise ValueError(f"model.{name} must be {what}, got {value!r}")
+        self.gen_hidden, self.critic_hidden = tuple(self.gen_hidden), tuple(self.critic_hidden)
 
     @property
     def pair_dim(self):
         return self.window * self.features + self.latent_dim
 
-    def to_dict(self):
-        return {
-            "features": self.features,
-            "window": self.window,
-            "latent_dim": self.latent_dim,
-            "gen_hidden": list(self.gen_hidden),
-            "critic_hidden": list(self.critic_hidden),
-            "head_mode": self.head_mode,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["gen_hidden"] = tuple(d.get("gen_hidden", (32, 32)))
-        d["critic_hidden"] = tuple(d.get("critic_hidden", (64, 32)))
-        return cls(**d)
-
 
 @dataclass
 class NoiseSpec:
-    """Latent prior: standard normal by default, or uniform[-1, 1]."""
+    """Latent prior: standard normal, or uniform[-1, 1]."""
 
-    distribution: str = "normal"
-    latent_dim: int = 16
+    distribution: str
+    latent_dim: int
 
     def __post_init__(self):
         if self.distribution not in ("normal", "uniform"):

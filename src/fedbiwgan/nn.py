@@ -257,15 +257,15 @@ class AdamConfig:
     alpha: float = 1e-4
     beta1: float = 0.5
     beta2: float = 0.9
-    epsilon_stability: float = 1e-8
+    epsilon: float = 1e-8
 
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("betas must lie in [0, 1)")
-        if not self.epsilon_stability > 0:
-            raise ValueError("epsilon_stability must be positive")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be positive")
 
 
 @dataclass
@@ -307,7 +307,7 @@ def adam_step(params, grads, state: AdamState, cfg: AdamConfig):
         v += (1 - cfg.beta2) * g * g
         m_hat = m / (1 - cfg.beta1 ** t)
         v_hat = v / (1 - cfg.beta2 ** t)
-        arr -= cfg.alpha * m_hat / np.sqrt(v_hat + cfg.epsilon_stability)
+        arr -= cfg.alpha * m_hat / np.sqrt(v_hat + cfg.epsilon)
     return params, state
 
 

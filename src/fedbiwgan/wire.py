@@ -79,8 +79,11 @@ def decode_tensor(buf, offset):
     shape = struct.unpack(f"<{ndim}I", dims)
     size = math.prod(shape)
     _, end = read(buf, offset, 8 * size)
-    arr = np.frombuffer(buf, dtype="<f8", count=size, offset=offset)
-    return arr.reshape(shape).astype(np.float64), end
+    try:  # an empty shape can hold dims no array can take
+        arr = np.frombuffer(buf, dtype="<f8", count=size, offset=offset).reshape(shape)
+    except ValueError as exc:
+        raise WireError(f"shape {shape} does not make an array: {exc}") from None
+    return arr.astype(np.float64), end
 
 
 def encode_message(msg: Message) -> bytes:

@@ -14,6 +14,7 @@ import pytest
 
 from fedbiwgan import autodiff as ad
 from fedbiwgan.data import (
+    InjectionConfig,
     SynthSpec,
     fit_normalizer,
     make_windows,
@@ -265,7 +266,7 @@ def test_variant_ordering_over_seeds(report):
     mc = ModelConfig(gen_hidden=(16, 16), critic_hidden=(32, 16))
     tc = TrainingConfig(mode="standalone", iterations=200, critic_iters=5,
                         batch_size=32)
-    inj = {"rate": 0.1, "magnitude": 2.5, "seed": 0}
+    inj = InjectionConfig(rate=0.1, magnitude=2.5, seed=0)
     f1s = {v: [] for v in ALL_VARIANTS}
     for seed in range(5):
         series = synth_dataset(SynthSpec(length=700, seed=100 + seed))

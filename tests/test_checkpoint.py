@@ -1,3 +1,6 @@
+import zlib
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -48,16 +51,44 @@ def test_container_every_truncation_raises_checkpoint_error(tmp_path):
         load_container(path)
 
 
+def _sealed(header, body):
+    """A container from a magic/version header and a body, with the body's
+    checksum between them."""
+    return header + zlib.crc32(body).to_bytes(4, "little") + body
+
+
 def test_container_bad_metadata_block(tmp_path):
     path = tmp_path / "c.ckpt"
     save_container(path, {"k": 1}, {})
     whole = path.read_bytes()
     for block in (b'{"k":', b"[1,2]"):
         meta_len = len(b'{"k":1}')
-        bad = whole[:12] + len(block).to_bytes(4, "little") + block + whole[16 + meta_len:]
-        path.write_bytes(bad)
+        body = len(block).to_bytes(4, "little") + block + whole[20 + meta_len:]
+        path.write_bytes(_sealed(whole[:12], body))
         with pytest.raises(CheckpointError, match="metadata|corrupt"):
             load_container(path)
+
+
+def test_container_every_bit_flip_raises_checkpoint_error(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_container(path, {"k": 1}, {"s": np.float64(2.0), "v": np.arange(4.0)})
+    whole = path.read_bytes()
+    for bit in range(8 * len(whole)):
+        flipped = bytearray(whole)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(flipped)
+        with pytest.raises(CheckpointError):
+            load_container(path)
+
+
+def test_container_version_1_names_its_version(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_container(path, {"k": 1}, {"v": np.arange(4.0)})
+    whole = path.read_bytes()
+    # version 1 had no checksum: the body followed the version directly
+    path.write_bytes(whole[:8] + (1).to_bytes(4, "little") + whole[16:])
+    with pytest.raises(CheckpointError, match="version 1"):
+        load_container(path)
 
 
 def test_container_byte_identical(tmp_path):
@@ -104,12 +135,12 @@ def test_model_bundle_missing_builder(tmp_path):
     {"models": ["critic"]},
     {"model_config": [], "models": []},
     {"model_config": {}, "models": []},
-    {"model_config": {**CFG.to_dict(), "features": "x"}, "models": []},
-    {"model_config": {**CFG.to_dict(), "gen_hidden": 5}, "models": []},
-    {"model_config": {**CFG.to_dict(), "window": 0}, "models": []},
-    {"model_config": {**CFG.to_dict(), "head_mode": "tanh"}, "models": []},
-    {"model_config": {**CFG.to_dict(), "extra": 1}, "models": []},
-    {"model_config": CFG.to_dict(), "models": "critic"},
+    {"model_config": {**asdict(CFG), "features": "x"}, "models": []},
+    {"model_config": {**asdict(CFG), "gen_hidden": 5}, "models": []},
+    {"model_config": {**asdict(CFG), "window": 0}, "models": []},
+    {"model_config": {**asdict(CFG), "head_mode": "tanh"}, "models": []},
+    {"model_config": {**asdict(CFG), "extra": 1}, "models": []},
+    {"model_config": asdict(CFG), "models": "critic"},
 ])
 def test_model_bundle_bad_metadata_raises_checkpoint_error(tmp_path, meta):
     path = tmp_path / "m.ckpt"

@@ -171,6 +171,33 @@ def test_detect_with_a_bad_thresholds_key_exits_1(trained_run, tmp_path, capsys,
         assert "thresholds.json" in err and repr(key) in err, err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("topology", None), ("mode", None), ("config_hash", None), ("gamma", None),
+    ("injection", None), ("training", None), ("param_counts", None),
+    ("injection", {"rate": "high", "magnitude": 2.5, "seed": 0}),
+    ("injection", {"rate": 0.3, "magnitude": 2.5, "seed": 0.9}),
+    ("topology", {"slices": 0, "monitors_per_slice": 2}),
+    ("training", {"iterations": "4"}), ("mode", "gossip"), ("gamma", 1.5),
+    ("param_counts", {"critic": "x"}),
+], ids=lambda v: "missing" if v is None else None)
+def test_bad_manifest_key_exits_1(trained_run, tmp_path, capsys, key, value):
+    _, run = trained_run
+    assert main(["calibrate", "--run", str(run)]) == 0
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    doc = json.loads((copy / "manifest.json").read_text())
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    (copy / "manifest.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    for command in ("calibrate", "detect", "evaluate", "report-costs"):
+        assert main([command, "--run", str(copy)]) == 1
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and key in err, err
+
+
 def test_nonfinite_critic_exits_1(tmp_path, capsys, monkeypatch):
     init = MonitorNode.__init__
 

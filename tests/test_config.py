@@ -1,4 +1,9 @@
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
+import yaml
 
 from fedbiwgan.config import (
     ConfigError,
@@ -7,6 +12,10 @@ from fedbiwgan.config import (
     load_experiment,
     resolve_experiment,
 )
+from fedbiwgan.data import DataConfig, InjectionConfig
+from fedbiwgan.detection import DetectionConfig
+from fedbiwgan.federation import TopologySpec, TrainingConfig
+from fedbiwgan.models import ModelConfig
 
 
 def test_load_simple(tmp_path):
@@ -44,10 +53,13 @@ def test_config_hash_stable_and_sensitive():
 
 def test_resolve_defaults():
     exp = resolve_experiment({})
-    assert exp.training.mode == "federated"
-    assert exp.model.features == 26
-    assert exp.gamma == 0.9
-    assert exp.topology.slices == 1
+    assert exp.seed == 0
+    assert exp.topology == TopologySpec()
+    assert exp.training == TrainingConfig()
+    assert exp.model == ModelConfig()
+    assert exp.detection == DetectionConfig()
+    assert exp.data == DataConfig()
+    assert exp.injection == InjectionConfig()
 
 
 def test_resolve_rejects_bad_values():
@@ -67,9 +79,50 @@ def test_resolve_rejects_bad_values():
         ("model", "latent_dim", -3), ("model", "window", 0), ("model", "features", 0),
         ("model", "gen_hidden", [8, 8, 8]), ("model", "critic_hidden", [4.5, 4]),
         ("training", "noise", "cauchy"),
+        # integer fields take only integers: no fractions, booleans or quoted numbers
+        ("model", "window", 2.5), ("training", "batch_size", 4.9),
+        ("training", "iterations", True), ("topology", "slices", 1.9),
+        ("model", "window", "8"), ("model", "gen_hidden", 32),
+        # float fields take only finite numbers
+        ("training", "eta", float("nan")), ("injection", "magnitude", "nan"),
+        ("injection", "magnitude", float("nan")), ("data", "noise", "inf"),
+        ("data", "noise", float("inf")), ("data", "ratios", [0.6, "x", 0.2]),
+        ("data", "source", "csvv"), ("training", "batchsize", 32),
+        ("data", "paths", {"0.0": 3}), ("data", "mapping", {"cpu_idle_pct": None}),
     ]:
         with pytest.raises(ConfigError, match=field):
             resolve_experiment({section: {field: value}})
+    for cfg, key in [
+        ({"seed": 2.7}, "seed"),
+        ({"seeds": 2}, "seeds"),
+        ({"training": {"adam": {"epsilon_stability": 1e-3}}}, "training.adam.epsilon_stability"),
+        ({"training": {"adam": "fast"}}, "training.adam"),
+        ({"training": {"adam": {"beta1": 1.0}}}, "training.adam"),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            resolve_experiment(cfg)
+
+
+def test_yaml_exponent_without_a_dot_is_a_float(tmp_path):
+    # YAML 1.1 reads 1e-4 as a string; a float field still takes it
+    p = tmp_path / "e.yaml"
+    p.write_text("training:\n  adam: {alpha: 1e-4}\n")
+    assert load_config(p)["training"]["adam"]["alpha"] == "1e-4"
+    assert load_experiment(p).training.adam.alpha == 1e-4
+
+
+def _keys(cls):
+    return {f.name for f in fields(cls) if f.init}
+
+
+def test_readme_config_block_resolves_and_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = yaml.safe_load(readme.split("```yaml\n", 1)[1].split("```", 1)[0])
+    exp = resolve_experiment(block)
+    assert set(block) == _keys(type(exp))
+    for name in _keys(type(exp)) - {"seed"}:
+        assert set(block[name]) == _keys(type(getattr(exp, name))), name
+    assert set(block["training"]["adam"]) == _keys(type(exp.training.adam))
 
 
 def test_load_experiment(tmp_path):

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,8 @@ def test_config_validation_and_roundtrip():
     with pytest.raises(ValueError):
         ModelConfig(head_mode="relu")
     assert SMALL.pair_dim == 4 * 3 + 2
-    assert ModelConfig.from_dict(SMALL.to_dict()) == SMALL
+    # a checkpoint stores asdict as JSON, so the hidden sizes come back as lists
+    assert ModelConfig(**json.loads(json.dumps(asdict(SMALL)))) == SMALL
 
 
 def test_noise_spec():

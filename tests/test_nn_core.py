@@ -357,7 +357,7 @@ def test_adam_config_validation():
     with pytest.raises(ValueError):
         AdamConfig(beta1=1.0)
     with pytest.raises(ValueError):
-        AdamConfig(epsilon_stability=0.0)
+        AdamConfig(epsilon=0.0)
 
 
 def test_adam_shape_mismatch():

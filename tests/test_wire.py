@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,13 @@ def test_every_truncation_and_trailing_bytes_raise_wire_error():
             decode_message(encoded[:cut])
     with pytest.raises(WireError, match="trailing"):
         decode_message(encoded + b"\x00")
+
+
+def test_empty_shape_with_oversized_dims_raises_wire_error():
+    for shape in ((0, 2**31, 2**31), (0,) * 70):
+        body = (1).to_bytes(4, "little") + struct.pack(f"<{len(shape) + 1}I", len(shape), *shape)
+        with pytest.raises(WireError, match="shape"):
+            decode_message(HEADER.pack(MSG_FEEDBACK, 0, 0, 0) + body)
 
 
 def test_negative_monitor_id():
