@@ -10,7 +10,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,19 +24,12 @@ from .config import (
     resolve_section,
 )
 from .data import FEATURE_NAMES, InjectionConfig, SynthSpec, synth_dataset
-from .detection import DetectionConfig, calibrate_threshold, classify, evaluate
-from .experiment import (
-    _injected_samples,
-    build_node_data,
-    calibrate_monitors,
-    detect_monitors,
-    train_experiment,
-)
-from .federation import MODES, TopologySpec, TrainingConfig
+from .detection import DetectionConfig
+from .experiment import build_node_data, calibrate_monitors, detect_monitors, train_experiment
+from .federation import MODES, TopologySpec, TrainingConfig, run_training
 from .gradcheck import run_gradcheck
 from .ledger import CostLedger, _link_class, flop_estimates
-from .models import CriticModel, EncoderModel, GeneratorModel
-from .variants import ALL_VARIANTS, train_variant
+from .models import OBJECTIVES, CriticModel, EncoderModel, GeneratorModel
 
 
 class UsageError(Exception):
@@ -84,19 +77,47 @@ class Manifest:
         TrainingConfig(mode=self.mode), DetectionConfig(self.gamma)  # their owners' checks
 
 
+@dataclass
+class NodeThreshold:
+    """One monitor's entry in thresholds.json."""
+
+    threshold: float
+    mean_normal: float
+    mean_abnormal: float
+    degenerate: bool = False
+
+
+@dataclass
+class Thresholds:
+    """A run's thresholds.json: per_node is keyed by "s.n"."""
+
+    config_hash: str
+    gamma: float
+    per_node: dict[str, NodeThreshold]
+
+    def __post_init__(self):
+        DetectionConfig(self.gamma)
+
+
+def _read_record(cls, path, remedy):
+    """The JSON file at path resolved into dataclass cls, every field of
+    which it must hold; UsageError naming the file and the key if not."""
+    doc = _read_json(path)
+    for f in fields(cls):
+        if not isinstance(doc, dict) or f.name not in doc:
+            raise UsageError(f"{path}: no {f.name!r} key; {remedy}")
+    try:
+        return resolve_section(cls, "", doc)
+    except ConfigError as exc:
+        raise UsageError(f"{path}: {exc}") from None
+
+
 def _load_run(run_dir):
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise UsageError(f"{run_dir}: no manifest.json (not a run directory?)")
-    doc = _read_json(manifest_path)
-    for f in fields(Manifest):
-        if not isinstance(doc, dict) or f.name not in doc:
-            raise UsageError(f"{manifest_path}: no {f.name!r} key; train the run again")
-    try:
-        return run_dir, resolve_section(Manifest, "", doc)
-    except ConfigError as exc:
-        raise UsageError(f"{manifest_path}: {exc}") from None
+    return run_dir, _read_record(Manifest, manifest_path, "train the run again")
 
 
 # ---------------------------------------------------------------------------
@@ -217,23 +238,18 @@ def cmd_detect(args, with_metrics=False):
     th_path = run_dir / "thresholds.json"
     if not th_path.exists():
         raise UsageError(f"{run_dir}: no thresholds.json; run calibrate first")
-    th_doc = _read_json(th_path)
-    for key in ("gamma", "config_hash", "per_node"):
-        if not isinstance(th_doc, dict) or key not in th_doc:
-            raise UsageError(f"{th_path}: no {key!r} key; run calibrate again")
-    gamma = th_doc["gamma"]
-    if isinstance(gamma, bool) or not isinstance(gamma, (int, float)) or not 0 <= gamma <= 1:
-        raise UsageError(f"{th_path}: 'gamma' must lie in [0, 1], got {gamma!r}")
-    if th_doc["config_hash"] != manifest.config_hash:
+    th = _read_record(Thresholds, th_path, "run calibrate again")
+    gamma = th.gamma
+    if th.config_hash != manifest.config_hash:
         raise UsageError("provenance error: thresholds were calibrated for a different config")
     bundles, test = _load_bundles(run_dir, manifest, "test")
     thresholds = {}
     for key in bundles:
-        entry = th_doc["per_node"].get(_node_key(*key), {})
-        if "threshold" not in entry:
+        entry = th.per_node.get(_node_key(*key))
+        if entry is None:
             raise UsageError(f"{th_path}: no threshold for monitor {_node_key(*key)}; "
                              "run calibrate again")
-        thresholds[key] = entry["threshold"]
+        thresholds[key] = entry.threshold
     per_node, metrics, fault_recall = detect_monitors(bundles, test, manifest.injection,
                                                       thresholds, gamma)
     with open(run_dir / "scores.csv", "w", newline="") as fh:
@@ -277,19 +293,18 @@ def cmd_evaluate(args):
 
 def cmd_compare(args):
     exp = load_experiment(args.config)
-    variants = args.variants.split(",") if args.variants else list(ALL_VARIANTS)
+    variants = args.variants.split(",") if args.variants else list(OBJECTIVES)
     for v in variants:
-        if v not in ALL_VARIANTS:
+        if v not in OBJECTIVES:
             raise UsageError(
-                f"unknown variant {v!r}; valid variants are {', '.join(ALL_VARIANTS)}"
+                f"unknown variant {v!r}; valid variants are {', '.join(OBJECTIVES)}"
             )
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [exp.seed]
     nodes = build_node_data(exp)
-    train = np.concatenate([nd.train for nd in nodes.values()])
-    val = np.concatenate([nd.val for nd in nodes.values()])
-    test = np.concatenate([nd.test for nd in nodes.values()])
-    val_x, val_labels, _ = _injected_samples(val, exp.injection, 0)
-    test_x, test_labels, _ = _injected_samples(test, exp.injection, 1)
+    # every variant trains one standalone model on the monitors' pooled windows
+    train, val, test = ({(0, 0): np.concatenate([getattr(nd, split) for nd in nodes.values()])}
+                        for split in ("train", "val", "test"))
+    training = replace(exp.training, mode="standalone")
     dataset_hash = config_hash({"data": exp.raw.get("data", {}),
                                 "topology": exp.raw.get("topology", {})})
 
@@ -299,9 +314,13 @@ def cmd_compare(args):
     gamma = exp.detection.gamma
     for seed in seeds:
         for variant in variants:
-            bundle = train_variant(variant, train, exp.model, exp.training, seed)
-            th, *_ = calibrate_threshold(bundle.score(val_x, gamma).score, val_labels)
-            metrics = evaluate(test_labels, classify(bundle.score(test_x, gamma).score, th))
+            result = run_training(TopologySpec(), training, exp.model, train, seed, variant)
+            bundles = {(0, 0): result.bundle_for(0, 0)}
+            thresholds = calibrate_monitors(bundles, val, exp.injection, gamma)
+            _, metrics, _ = detect_monitors(
+                bundles, test, exp.injection,
+                {key: th["threshold"] for key, th in thresholds.items()}, gamma,
+            )
             rows.append({
                 "variant": variant,
                 "seed": seed,
@@ -418,7 +437,7 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--variants", help="comma-separated subset of "
-                   + ",".join(ALL_VARIANTS))
+                   + ",".join(OBJECTIVES))
     p.add_argument("--seeds", help="comma-separated seeds")
     p.set_defaults(func=cmd_compare)
 

@@ -37,24 +37,36 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 def load_config(path) -> dict:
     """Load a YAML config; an `include` list of paths (relative to the
-    file) is merged first, later files and the including file winning."""
-    path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
-    includes = raw.pop("include", [])
-    if isinstance(includes, str):
-        includes = [includes]
-    merged = {}
-    for inc in includes:
-        merged = _deep_merge(merged, load_config(path.parent / inc))
-    return _deep_merge(merged, raw)
+    file) is merged first, later files and the including file winning.
+    A file that includes itself, directly or not, is a ConfigError."""
+
+    def load(path, chain):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = yaml.safe_load(fh) or {}
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}")
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: invalid YAML: {exc}")
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: top level must be a mapping")
+        includes = raw.pop("include", [])
+        if isinstance(includes, str):
+            includes = [includes]
+        if not isinstance(includes, list) or not all(isinstance(i, str) for i in includes):
+            raise ConfigError(f"{path}: include must be a path or a list of paths, "
+                              f"got {includes!r}")
+        chain = chain + [path.resolve()]
+        merged = {}
+        for inc in includes:
+            target = (path.parent / inc).resolve()
+            if target in chain:
+                cycle = chain[chain.index(target):] + [target]
+                raise ConfigError("include cycle: " + " -> ".join(map(str, cycle)))
+            merged = _deep_merge(merged, load(path.parent / inc, chain))
+        return _deep_merge(merged, raw)
+
+    return load(Path(path), [])
 
 
 def config_hash(cfg: dict) -> str:

@@ -76,21 +76,17 @@ def train_experiment(exp: Experiment, nodes: dict | None = None):
     return result, nodes
 
 
-def _injected_samples(windows, injection, seed_offset):
-    """inject_faults with the rate, magnitude and seed of an injection
-    config; the seed is offset per split (val 0, test 1)."""
-    return inject_faults(windows, rate=injection.rate, magnitude=injection.magnitude,
-                         seed=injection.seed + seed_offset)
-
-
 def score_monitors(bundles, windows, injection, seed_offset, gamma):
-    """Inject the four-fault mix into each monitor's windows and score
+    """Inject the four-fault mix into each monitor's windows, with the
+    injection config's seed offset per split (val 0, test 1), and score
     them with that monitor's models. bundles maps (s, n) -> (g, e, d) and
     windows maps (s, n) -> [num, t, features]; returns (s, n) -> (score
     records, labels, faults), in the order of `bundles`."""
     scored = {}
     for key, (g, e, d) in bundles.items():
-        x, labels, faults = _injected_samples(windows[key], injection, seed_offset)
+        x, labels, faults = inject_faults(windows[key], rate=injection.rate,
+                                          magnitude=injection.magnitude,
+                                          seed=injection.seed + seed_offset)
         scored[key] = (score_windows(x, g, e, d, gamma), labels, faults)
     return scored
 

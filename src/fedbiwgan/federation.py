@@ -186,8 +186,7 @@ class MonitorNode:
         self.objective = objective
         # canonical name so checkpoints reload into a fresh CriticModel
         self.critic = CriticModel(
-            model_cfg, _seeded_rng(seed, _SEED_CRITIC, slice_id, monitor_id),
-            input_dim=None if objective.joint else model_cfg.window * model_cfg.features,
+            model_cfg, _seeded_rng(seed, _SEED_CRITIC, slice_id, monitor_id), objective
         )
         self.cfg = cfg
         self.stream = _seeded_rng(seed, _SEED_MONITOR_STREAM, slice_id, monitor_id)
@@ -445,13 +444,16 @@ class RunResult:
     ledger: CostLedger
 
     def bundle_for(self, slice_id, monitor_id):
-        """(generator, encoder, critic) used for detection on a monitor."""
+        """(generator, encoder, critic) used for detection on a monitor;
+        the encoder is None under a window-only objective, so
+        score_windows gives the critic-only score."""
         if self.mode == "centralized":
             # one pooled model serves every monitor
             slice_id, monitor_id = 0, 0
         key = (slice_id, monitor_id) if (slice_id, monitor_id) in self.managers else slice_id
         manager = self.managers[key]
-        return manager.generator, manager.encoder, self.monitors[(slice_id, monitor_id)].critic
+        encoder = manager.encoder if manager.objective.joint else None
+        return manager.generator, encoder, self.monitors[(slice_id, monitor_id)].critic
 
 
 def _slice_iteration(manager, bank, bus, iteration, traces, ledger, node):

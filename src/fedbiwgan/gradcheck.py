@@ -173,10 +173,9 @@ def run_gradcheck(seed=0, verbose=False):
     xw = rng.standard_normal((2, cfg.window, cfg.features))
     record("encoder", _check_net(enc, xw, _quad_loss))
 
-    for head in ("linear", "sigmoid"):
-        dcfg = replace(cfg, head_mode=head)
-        critic = CriticModel(dcfg, rng)
-        u = rng.standard_normal((3, dcfg.pair_dim))
+    for head, objective in (("linear", BIWGAN_GP), ("sigmoid", OBJECTIVES["bigan"])):
+        critic = CriticModel(cfg, rng, objective)
+        u = rng.standard_normal((3, cfg.pair_dim))
         record(f"critic[{head}]", _check_net(critic, u, _quad_loss))
 
     # full critic objective with the gradient penalty (second derivatives)
@@ -198,9 +197,7 @@ def run_gradcheck(seed=0, verbose=False):
 
     # every objective: its critic loss and the feedbacks that train G and E
     for name, objective in OBJECTIVES.items():
-        head = "sigmoid" if objective.value == "minimax" else "linear"
-        critic = CriticModel(replace(dcfg, head_mode=head), rng,
-                             input_dim=None if objective.joint else dcfg.window * dcfg.features)
+        critic = CriticModel(dcfg, rng, objective)
         m = 3
         real, fake = _random_rows(rng, m), _random_rows(rng, m)
         eps = rng.uniform(0.0, 1.0, m)

@@ -27,11 +27,8 @@ class ModelConfig:
     latent_dim: int = 16
     gen_hidden: tuple = (32, 32)
     critic_hidden: tuple = (64, 32)
-    head_mode: str = "linear"  # "linear" (Wasserstein critic) or "sigmoid"
 
     def __post_init__(self):
-        if self.head_mode not in ("linear", "sigmoid"):
-            raise ValueError("head_mode must be 'linear' or 'sigmoid'")
         for name in ("features", "window", "latent_dim", "gen_hidden", "critic_hidden"):
             value = getattr(self, name)
             layers = name.endswith("_hidden")
@@ -62,6 +59,58 @@ class NoiseSpec:
         if self.distribution == "normal":
             return rng.standard_normal((batch, self.latent_dim))
         return rng.uniform(-1.0, 1.0, (batch, self.latent_dim))
+
+
+# ---------------------------------------------------------------------------
+# objectives
+
+
+@dataclass(frozen=True)
+class Objective:
+    """A GAN-family objective for the split driver, fixed by three choices:
+
+    - value: "wasserstein", mean D(real) - mean D(fake), or "minimax",
+      mean log D(real) + mean log(1 - D(fake)) on a probability head. The
+      critic maximizes it; the generator and encoder minimize it.
+    - lipschitz: "penalty" (nn.gradient_penalty), "clip" (every critic
+      weight clipped to +-WEIGHT_CLIP after each step) or "none".
+    - joint: the critic sees the full (window, latent) pair, or the
+      window only, in which case the feedbacks' latent columns are zero.
+    """
+
+    name: str
+    value: str
+    lipschitz: str
+    joint: bool
+
+
+OBJECTIVES = {o.name: o for o in (
+    Objective("gan", "minimax", "none", joint=False),
+    Objective("bigan", "minimax", "none", joint=True),
+    Objective("wgan", "wasserstein", "clip", joint=False),
+    Objective("wgan_gp", "wasserstein", "penalty", joint=False),
+    Objective("biwgan_gp", "wasserstein", "penalty", joint=True),
+)}
+BIWGAN_GP = OBJECTIVES["biwgan_gp"]
+WEIGHT_CLIP = 0.01
+
+
+def get_objective(name) -> Objective:
+    if name not in OBJECTIVES:
+        raise ValueError(
+            f"unknown objective {name!r}; valid objectives are {', '.join(OBJECTIVES)}"
+        )
+    return OBJECTIVES[name]
+
+
+def _critic_input(d, rows, objective: Objective) -> np.ndarray:
+    """The part of flat pair rows a critic of this objective scores: all of
+    it, or the window columns alone."""
+    return rows if objective.joint else np.ascontiguousarray(rows[..., :d.input_dim])
+
+
+# ---------------------------------------------------------------------------
+# models
 
 
 class GeneratorModel:
@@ -124,20 +173,20 @@ class EncoderModel:
 
 
 class CriticModel:
-    """Three dense layers scoring a flattened joint pair with one scalar
-    per example. head_mode 'linear' is the Wasserstein critic; 'sigmoid'
-    reproduces a probability head. With [N, out, in] weights and
-    [N, 1, out] biases it is a stack of N critics over [N, M, in] rows."""
+    """Three dense layers scoring one scalar per example, shaped by the
+    objective: they read flattened joint pairs, or windows alone for a
+    window-only objective, and end in a sigmoid (probability) head for a
+    minimax value and a linear one, the Wasserstein critic's, otherwise.
+    With [N, out, in] weights and [N, 1, out] biases it is a stack of N
+    critics over [N, M, in] rows."""
 
-    def __init__(self, cfg: ModelConfig, rng, input_dim=None, name="d"):
+    def __init__(self, cfg: ModelConfig, rng, objective: Objective = BIWGAN_GP, name="d"):
         self.cfg = cfg
-        self.head_mode = cfg.head_mode
-        in_dim = cfg.pair_dim if input_dim is None else input_dim
-        self.input_dim = in_dim
+        self.input_dim = cfg.pair_dim if objective.joint else cfg.window * cfg.features
         c1, c2 = cfg.critic_hidden
-        head_act = "linear" if cfg.head_mode == "linear" else "sigmoid"
+        head = "sigmoid" if objective.value == "minimax" else "linear"
         self.net = FeedForward(
-            [in_dim, c1, c2, 1], ["tanh", "tanh", head_act], rng, name=name
+            [self.input_dim, c1, c2, 1], ["tanh", "tanh", head], rng, name=name
         )
 
     def __call__(self, u: Tensor) -> Tensor:
@@ -148,7 +197,7 @@ class CriticModel:
         return self.net(u)
 
     def raw_output(self, u: Tensor) -> Tensor:
-        """Pre-sigmoid scalar, regardless of head_mode (used by Eq-28-style
+        """Pre-sigmoid scalar, whatever the head (used by Eq-28-style
         probability scoring)."""
         x = u
         for layer in self.net.layers[:-1]:
@@ -183,54 +232,6 @@ def interpolate(real, fake, eps) -> np.ndarray:
                          f"with {eps.shape} weights")
     e = eps[..., None]
     return e * real + (1 - e) * fake
-
-
-# ---------------------------------------------------------------------------
-# objectives
-
-
-@dataclass(frozen=True)
-class Objective:
-    """A GAN-family objective for the split driver, fixed by three choices:
-
-    - value: "wasserstein", mean D(real) - mean D(fake), or "minimax",
-      mean log D(real) + mean log(1 - D(fake)) on a probability head. The
-      critic maximizes it; the generator and encoder minimize it.
-    - lipschitz: "penalty" (nn.gradient_penalty), "clip" (every critic
-      weight clipped to +-WEIGHT_CLIP after each step) or "none".
-    - joint: the critic sees the full (window, latent) pair, or the
-      window only, in which case the feedbacks' latent columns are zero.
-    """
-
-    name: str
-    value: str
-    lipschitz: str
-    joint: bool
-
-
-OBJECTIVES = {o.name: o for o in (
-    Objective("gan", "minimax", "none", joint=False),
-    Objective("bigan", "minimax", "none", joint=True),
-    Objective("wgan", "wasserstein", "clip", joint=False),
-    Objective("wgan_gp", "wasserstein", "penalty", joint=False),
-    Objective("biwgan_gp", "wasserstein", "penalty", joint=True),
-)}
-BIWGAN_GP = OBJECTIVES["biwgan_gp"]
-WEIGHT_CLIP = 0.01
-
-
-def get_objective(name) -> Objective:
-    if name not in OBJECTIVES:
-        raise ValueError(
-            f"unknown objective {name!r}; valid objectives are {', '.join(OBJECTIVES)}"
-        )
-    return OBJECTIVES[name]
-
-
-def _critic_input(d, rows, objective: Objective) -> np.ndarray:
-    """The part of flat pair rows a critic of this objective scores: all of
-    it, or the window columns alone."""
-    return rows if objective.joint else np.ascontiguousarray(rows[..., :d.input_dim])
 
 
 # ---------------------------------------------------------------------------

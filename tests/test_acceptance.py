@@ -20,18 +20,13 @@ from fedbiwgan.data import (
     make_windows,
     synth_dataset,
 )
-from fedbiwgan.detection import (
-    ConfusionCounts,
-    calibrate_threshold,
-    classify,
-    evaluate,
-    metrics_from_counts,
-)
+from fedbiwgan.detection import ConfusionCounts, metrics_from_counts
 from fedbiwgan.experiment import (
-    _injected_samples,
     build_node_data,
     calibrate_experiment,
+    calibrate_monitors,
     detect_experiment,
+    detect_monitors,
     train_experiment,
 )
 from fedbiwgan.federation import (
@@ -49,9 +44,8 @@ from fedbiwgan.federation import (
 )
 from fedbiwgan.gradcheck import run_gradcheck
 from fedbiwgan.ledger import flop_estimates
-from fedbiwgan.models import ModelConfig, critic_loss, error_feedbacks, pair_rows
+from fedbiwgan.models import OBJECTIVES, ModelConfig, critic_loss, error_feedbacks, pair_rows
 from fedbiwgan.nn import gradient_penalty_backward
-from fedbiwgan.variants import ALL_VARIANTS, train_variant
 from fedbiwgan.config import resolve_experiment
 
 
@@ -267,25 +261,24 @@ def test_variant_ordering_over_seeds(report):
     tc = TrainingConfig(mode="standalone", iterations=200, critic_iters=5,
                         batch_size=32)
     inj = InjectionConfig(rate=0.1, magnitude=2.5, seed=0)
-    f1s = {v: [] for v in ALL_VARIANTS}
+    f1s = {v: [] for v in OBJECTIVES}
     for seed in range(5):
         series = synth_dataset(SynthSpec(length=700, seed=100 + seed))
         wins = make_windows(series, mc.window, 1)
         a, b = int(wins.shape[0] * 0.6), int(wins.shape[0] * 0.8)
         norm = fit_normalizer(wins[:a])
         tr, va, te = norm.apply(wins[:a]), norm.apply(wins[a:b]), norm.apply(wins[b:])
-        for variant in ALL_VARIANTS:
-            bundle = train_variant(variant, tr, mc, tc, seed)
-            vx, vl, _ = _injected_samples(va, inj, 0)
-            th, *_ = calibrate_threshold(bundle.score(vx, 0.9).score, vl)
-            tx, tl, _ = _injected_samples(te, inj, 1)
-            m = evaluate(tl, classify(bundle.score(tx, 0.9).score, th))
+        for variant in OBJECTIVES:
+            result = run_training(TopologySpec(), tc, mc, {(0, 0): tr}, seed, variant)
+            bundles = {(0, 0): result.bundle_for(0, 0)}
+            th = calibrate_monitors(bundles, {(0, 0): va}, inj, 0.9)[(0, 0)]["threshold"]
+            _, m, _ = detect_monitors(bundles, {(0, 0): te}, inj, {(0, 0): th}, 0.9)
             f1s[variant].append(m["f1"].value if m["f1"].defined else 0.0)
-    means = {v: float(np.mean(f1s[v])) for v in ALL_VARIANTS}
+    means = {v: float(np.mean(f1s[v])) for v in OBJECTIVES}
     ours = means["biwgan_gp"]
-    ok = all(ours >= means[v] - 0.02 for v in ALL_VARIANTS if v != "biwgan_gp")
+    ok = all(ours >= means[v] - 0.02 for v in OBJECTIVES if v != "biwgan_gp")
     report("variant mean-F1 ordering (5 seeds)", ok,
-            ", ".join(f"{v} {means[v]:.3f}" for v in ALL_VARIANTS))
+            ", ".join(f"{v} {means[v]:.3f}" for v in OBJECTIVES))
 
 
 def test_cost_accounting_closed_forms(report):

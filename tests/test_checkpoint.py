@@ -1,8 +1,13 @@
+import tempfile
 import zlib
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedbiwgan.checkpoint import (
     CheckpointError,
@@ -36,6 +41,27 @@ def test_container_roundtrip(tmp_path):
     for k in tensors:
         assert loaded[k].shape == np.shape(tensors[k])
         assert loaded[k].tobytes() == np.asarray(tensors[k]).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(tensors=st.dictionaries(
+    st.text(alphabet=st.characters(exclude_categories=("Cs",)), max_size=8),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+               elements=st.floats(width=64)),
+    max_size=4,
+))
+def test_container_roundtrip_property(tensors):
+    # any name -> float64 array dict, NaN and infinities included, comes
+    # back bit for bit
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.ckpt"
+        save_container(path, {"n": len(tensors)}, tensors)
+        meta, loaded = load_container(path)
+    assert meta == {"n": len(tensors)}
+    assert sorted(loaded) == sorted(tensors)
+    for name, arr in tensors.items():
+        assert loaded[name].shape == arr.shape
+        assert loaded[name].tobytes() == arr.tobytes()
 
 
 def test_container_every_truncation_raises_checkpoint_error(tmp_path):
@@ -138,9 +164,11 @@ def test_model_bundle_missing_builder(tmp_path):
     {"model_config": {**asdict(CFG), "features": "x"}, "models": []},
     {"model_config": {**asdict(CFG), "gen_hidden": 5}, "models": []},
     {"model_config": {**asdict(CFG), "window": 0}, "models": []},
-    {"model_config": {**asdict(CFG), "head_mode": "tanh"}, "models": []},
+    {"model_config": {**asdict(CFG), "critic_hidden": [4, -3]}, "models": []},
     {"model_config": {**asdict(CFG), "extra": 1}, "models": []},
     {"model_config": asdict(CFG), "models": "critic"},
+    # a checkpoint written while the critic head was a config key
+    {"model_config": {**asdict(CFG), "head_mode": "linear"}, "models": []},
 ])
 def test_model_bundle_bad_metadata_raises_checkpoint_error(tmp_path, meta):
     path = tmp_path / "m.ckpt"

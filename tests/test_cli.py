@@ -150,25 +150,33 @@ def test_detect_with_a_monitor_missing_from_thresholds_exits_1(trained_run, tmp_
         assert "no threshold for monitor 0.1" in err and "thresholds.json" in err
 
 
-@pytest.mark.parametrize("key, value", [("gamma", None), ("config_hash", None),
-                                        ("per_node", None), ("gamma", 1.5)],
-                         ids=["gamma", "config_hash", "per_node", "gamma-range"])
-def test_detect_with_a_bad_thresholds_key_exits_1(trained_run, tmp_path, capsys, key, value):
+def _threshold_of_0_0(doc, value):
+    doc["per_node"]["0.0"]["threshold"] = value
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda doc: doc.pop("gamma"), "'gamma'"),
+    (lambda doc: doc.pop("config_hash"), "'config_hash'"),
+    (lambda doc: doc.pop("per_node"), "'per_node'"),
+    (lambda doc: doc.update(gamma=1.5), "gamma must lie in [0, 1], got 1.5"),
+    (lambda doc: doc.update(per_node=[]), "per_node must be a mapping, got []"),
+    (lambda doc: _threshold_of_0_0(doc, "high"),
+     "per_node.0.0.threshold must be a finite number, got 'high'"),
+], ids=["gamma", "config_hash", "per_node", "gamma-range", "per_node-list",
+        "threshold-string"])
+def test_detect_with_a_bad_thresholds_key_exits_1(trained_run, tmp_path, capsys, edit, named):
     _, run = trained_run
     assert main(["calibrate", "--run", str(run)]) == 0
     copy = tmp_path / "run"
     shutil.copytree(run, copy)
     doc = json.loads((copy / "thresholds.json").read_text())
-    if value is None:
-        del doc[key]
-    else:
-        doc[key] = value
+    edit(doc)
     (copy / "thresholds.json").write_text(json.dumps(doc))
     capsys.readouterr()
     for command in ("detect", "evaluate"):
         assert main([command, "--run", str(copy)]) == 1
         err = capsys.readouterr().err
-        assert "thresholds.json" in err and repr(key) in err, err
+        assert "thresholds.json" in err and named in err, err
 
 
 @pytest.mark.parametrize("key, value", [

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from fedbiwgan.cli import main
 from fedbiwgan.config import (
     ConfigError,
     config_hash,
@@ -33,6 +34,35 @@ def test_include_merge(tmp_path):
     cfg = load_config(child)
     assert cfg["seed"] == 9
     assert cfg["topology"] == {"slices": 4, "monitors_per_slice": 3}
+
+
+def test_include_cycle_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "a.yaml").write_text("include: b.yaml\nseed: 1\n")
+    (tmp_path / "b.yaml").write_text("include: [a.yaml]\n")
+    (tmp_path / "self.yaml").write_text("include: [self.yaml]\n")
+    with pytest.raises(ConfigError, match=r"include cycle: \S*a\.yaml -> \S*b\.yaml -> \S*a\.yaml"):
+        load_config(tmp_path / "a.yaml")
+    with pytest.raises(ConfigError, match=r"self\.yaml -> \S*self\.yaml"):
+        load_config(tmp_path / "self.yaml")
+    assert main(["train", "--config", str(tmp_path / "a.yaml"),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "include cycle" in capsys.readouterr().err
+    # two files including one more is a diamond, not a cycle
+    (tmp_path / "d.yaml").write_text("seed: 4\n")
+    (tmp_path / "c.yaml").write_text("include: d.yaml\n")
+    (tmp_path / "top.yaml").write_text("include: [c.yaml, d.yaml]\n")
+    assert load_config(tmp_path / "top.yaml") == {"seed": 4}
+
+
+@pytest.mark.parametrize("value", ["5", "[base.yaml, 3]", "{base: base.yaml}", "null"])
+def test_include_must_name_paths(tmp_path, capsys, value):
+    (tmp_path / "base.yaml").write_text("seed: 1\n")
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"include: {value}\n")
+    with pytest.raises(ConfigError, match=r"bad\.yaml: include must be"):
+        load_config(path)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert "include" in capsys.readouterr().err
 
 
 def test_load_errors(tmp_path):
@@ -98,6 +128,8 @@ def test_resolve_rejects_bad_values():
         ({"training": {"adam": {"epsilon_stability": 1e-3}}}, "training.adam.epsilon_stability"),
         ({"training": {"adam": "fast"}}, "training.adam"),
         ({"training": {"adam": {"beta1": 1.0}}}, "training.adam"),
+        # the objective fixes the critic's head; it is no config key
+        ({"model": {"head_mode": "linear"}}, "model.head_mode"),
     ]:
         with pytest.raises(ConfigError, match=re.escape(key)):
             resolve_experiment(cfg)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,8 +164,7 @@ def _bank_case(n, m, objective, seed):
     """n monitors with their batches and received packets, built afresh
     from the seed so two calls give identical nodes and streams."""
     model = ModelConfig(features=2, window=2, latent_dim=2, gen_hidden=(3, 3),
-                        critic_hidden=(4, 3),
-                        head_mode="sigmoid" if objective.value == "minimax" else "linear")
+                        critic_hidden=(4, 3))
     cfg = _cfg(batch_size=m)
     rng = np.random.default_rng(seed)
     monitors = [MonitorNode(0, i, rng.random((6, 2, 2)), model, cfg, seed, objective)
@@ -286,11 +283,9 @@ def test_encoder_runs_only_for_joint_objectives(monkeypatch, name):
 
     monkeypatch.setattr(EncoderModel, "__call__", counted)
     topo = TopologySpec(1, 2)
-    objective = OBJECTIVES[name]
-    model = replace(SMALL, head_mode="sigmoid" if objective.value == "minimax" else "linear")
-    res = run_training(topo, _cfg(mode="federated", iterations=2), model, _shards(topo), 0,
+    res = run_training(topo, _cfg(mode="federated", iterations=2), SMALL, _shards(topo), 0,
                        name)
-    assert len(calls) == (2 if objective.joint else 0)
+    assert len(calls) == (2 if OBJECTIVES[name].joint else 0)
     # the window-only critic's packets carry a zero latent of the same shape
     latent_bytes = [r["payload_bytes"] for r in res.ledger.records if r["kind"] == "gen_packet"]
     assert latent_bytes == [8 * 4 * (2 * SMALL.latent_dim + SMALL.window * SMALL.features)] * 4

@@ -27,7 +27,7 @@ SMALL = ModelConfig(features=3, window=4, latent_dim=2,
 
 def test_config_validation_and_roundtrip():
     with pytest.raises(ValueError):
-        ModelConfig(head_mode="relu")
+        ModelConfig(window=0)
     assert SMALL.pair_dim == 4 * 3 + 2
     # a checkpoint stores asdict as JSON, so the hidden sizes come back as lists
     assert ModelConfig(**json.loads(json.dumps(asdict(SMALL)))) == SMALL
@@ -74,10 +74,9 @@ def test_encoder_shapes_and_determinism():
 
 
 def test_critic_zero_init_heads():
-    for head, expected in (("sigmoid", 0.5), ("linear", 0.0)):
-        cfg = ModelConfig(features=3, window=4, latent_dim=2,
-                          gen_hidden=(4, 4), critic_hidden=(5, 4), head_mode=head)
-        d = CriticModel(cfg, np.random.default_rng(0))
+    # the objective fixes the head: sigmoid for a minimax value, else linear
+    for name, expected in (("bigan", 0.5), ("biwgan_gp", 0.0)):
+        d = CriticModel(SMALL, np.random.default_rng(0), OBJECTIVES[name])
         for p in d.params().values():
             p.data[...] = 0.0
         rows = pair_rows(np.zeros((3, 4, 3)), np.zeros((3, 2)))
@@ -88,10 +87,8 @@ def test_critic_zero_init_heads():
 
 
 def test_raw_output_is_presigmoid():
-    cfg = ModelConfig(features=3, window=4, latent_dim=2,
-                      gen_hidden=(4, 4), critic_hidden=(5, 4), head_mode="sigmoid")
-    d = CriticModel(cfg, np.random.default_rng(3))
-    u = np.random.default_rng(4).standard_normal((2, cfg.pair_dim))
+    d = CriticModel(SMALL, np.random.default_rng(3), OBJECTIVES["bigan"])
+    u = np.random.default_rng(4).standard_normal((2, SMALL.pair_dim))
     raw = d.raw_output(ad.tensor(u)).data
     prob = d(ad.tensor(u)).data
     np.testing.assert_allclose(1 / (1 + np.exp(-raw)), prob, rtol=1e-12)
@@ -284,8 +281,8 @@ def test_baseline_type_checks():
 
 def test_bigan_ge_input_grads_cover_both_pairs():
     cfg = ModelConfig(features=2, window=2, latent_dim=2,
-                      gen_hidden=(3, 3), critic_hidden=(4, 3), head_mode="sigmoid")
-    d = CriticModel(cfg, np.random.default_rng(5))
+                      gen_hidden=(3, 3), critic_hidden=(4, 3))
+    d = CriticModel(cfg, np.random.default_rng(5), OBJECTIVES["bigan"])
     real, fake = _random_pairs(np.random.default_rng(6), 3)
     f_e, f_g = error_feedbacks(d, real, fake, OBJECTIVES["bigan"])
     assert f_e.shape == (3, cfg.pair_dim)
@@ -298,9 +295,9 @@ def test_bigan_ge_input_grads_cover_both_pairs():
 def test_window_only_feedbacks_zero_latent_columns(name):
     objective = OBJECTIVES[name]
     cfg = ModelConfig(features=2, window=2, latent_dim=2, gen_hidden=(3, 3),
-                      critic_hidden=(4, 3),
-                      head_mode="sigmoid" if objective.value == "minimax" else "linear")
-    d = CriticModel(cfg, np.random.default_rng(5), input_dim=4)
+                      critic_hidden=(4, 3))
+    d = CriticModel(cfg, np.random.default_rng(5), objective)
+    assert d.input_dim == 4
     real, fake = _random_pairs(np.random.default_rng(6), 3)
     f_e, f_g = error_feedbacks(d, real, fake, objective)
     assert f_e.shape == f_g.shape == (3, cfg.pair_dim)

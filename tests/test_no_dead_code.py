@@ -1,5 +1,6 @@
 """Every function, class and method in the package has a caller in the
-package itself: a name that only tests reach is dead code."""
+package itself: a name that only tests reach is dead code. Every name a
+package or test module imports is used in that module."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,22 @@ def test_every_definition_has_a_caller_in_the_package():
     unused = {(module, qualname) for module, qualname, name in defined if name not in used}
     assert unused - ALLOWED == set()
     assert ALLOWED - unused == set(), "an allowed name now has a caller; drop it from ALLOWED"
+
+
+def test_every_imported_name_is_used():
+    package = Path(fedbiwgan.__file__).parent
+    unused = []
+    for path in sorted([*package.glob("*.py"), *Path(__file__).parent.glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # `import a.b` binds `a`
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

@@ -2,6 +2,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedbiwgan.wire import (
     HEADER,
@@ -31,6 +34,21 @@ def test_roundtrip_bitwise():
         assert b.shape == np.shape(a) and b.dtype == np.float64
         assert b.tobytes() == np.asarray(a).tobytes()
     assert len(encoded) == payload_bytes(tensors) + overhead_bytes(tensors)
+
+
+@settings(max_examples=25, deadline=None)
+@given(arr=hnp.arrays(np.float64,
+                      hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3),
+                      elements=st.floats(width=64)))
+def test_any_array_roundtrips_and_every_prefix_raises(arr):
+    # 0-d and empty arrays, NaN and infinities included
+    encoded = encode_message(Message(MSG_FEEDBACK, 0, 0, 0, [arr]))
+    (out,) = decode_message(encoded).tensors
+    assert out.shape == arr.shape and out.dtype == np.float64
+    assert out.tobytes() == arr.tobytes()
+    for cut in range(len(encoded)):
+        with pytest.raises(WireError):
+            decode_message(encoded[:cut])
 
 
 def test_every_truncation_and_trailing_bytes_raise_wire_error():
