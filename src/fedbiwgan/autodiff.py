@@ -4,10 +4,13 @@ Every value is a `Tensor` wrapping a row-major numpy array. Operations on
 tensors that require grad record their parents and a backward closure;
 the closures themselves are written in terms of Tensor operations, so a
 backward pass run with `grad(..., create_graph=True)` is itself recorded
-and can be differentiated again (needed for the Lipschitz gradient
-penalty). Every other backward pass, and any code run under
-`no_record()`, records nothing. No node reaches itself, so a graph is
-freed by reference count as soon as it is unreachable.
+and can be differentiated again. Nothing in the package needs that: the
+critic's step and its gradient penalty are closed-form numpy over its
+layers (`nn.FeedForward`, `nn.gradient_penalty`), and the engine trains
+the generator and encoder. A backward pass without create_graph, and
+any code run under `no_record()`, records nothing. No node reaches
+itself, so a graph is freed by reference count as soon as it is
+unreachable.
 """
 
 from __future__ import annotations
@@ -133,18 +136,6 @@ def _reads_output(out, bwd):
     return out
 
 
-def reciprocal(a):
-    return _reads_output(Tensor(1.0 / a.data, (a,)), _reciprocal_bwd)
-
-
-def _reciprocal_bwd(g, out):
-    return (neg(mul(g, mul(out, out))),)
-
-
-def div(a, b):
-    return mul(a, reciprocal(b))
-
-
 def matmul(a, b):
     """Matrix product; a 2-D operand broadcasts over the other's leading
     axes, e.g. a [out, in] weight applied at every step of [T, batch, in]."""
@@ -190,13 +181,6 @@ def sigmoid(a):
 
 def _sigmoid_bwd(g, out):
     return (mul(g, mul(out, sub(constant(1.0), out))),)
-
-
-def log(a):
-    def bwd(g):
-        return (div(g, a),)
-
-    return Tensor(np.log(a.data), (a,), bwd)
 
 
 def tsum(a, axis=None, keepdims=False):
@@ -269,23 +253,6 @@ def _embed(g, axis, start, shape):
     index[axis] = slice(start, start + length)
     data[tuple(index)] = g.data
     return Tensor(data, (g,), bwd)
-
-
-def sqrt_guard(a):
-    """Element-wise sqrt whose derivative is defined as 0 where a == 0."""
-    root = np.sqrt(a.data)
-    # shift the denominator by 1 exactly where the output is 0; there the
-    # incoming cotangent is multiplied by x/denom = 0/1 in every use site,
-    # realizing the zero-subgradient convention for the norm
-    mask = constant((root == 0.0).astype(np.float64))
-    return _reads_output(Tensor(root, (a,)),
-                         lambda g, out: (mul(g, mul(constant(0.5), reciprocal(add(out, mask)))),))
-
-
-def l2_norm_rows(a):
-    """Euclidean norm over the last axis, one per row of a matrix or of
-    each matrix in a stack; d‖x‖/dx := 0 at x = 0."""
-    return sqrt_guard(tsum(mul(a, a), axis=-1))
 
 
 def recording(*tensors):

@@ -58,6 +58,20 @@ def _unit_interval(text):
     return value
 
 
+def _names(text):
+    names = text.split(",")
+    if not all(names):
+        raise argparse.ArgumentTypeError(f"empty name in {text!r}")
+    return names
+
+
+def _seeds(text):
+    seeds = _names(text)
+    if not all(s.strip().isdigit() for s in seeds):
+        raise argparse.ArgumentTypeError(f"expected non-negative integers, got {text!r}")
+    return [int(s) for s in seeds]
+
+
 @dataclass
 class Manifest:
     """A run's manifest.json; `training` holds only the loop counts."""
@@ -293,13 +307,13 @@ def cmd_evaluate(args):
 
 def cmd_compare(args):
     exp = load_experiment(args.config)
-    variants = args.variants.split(",") if args.variants else list(OBJECTIVES)
+    variants = args.variants or list(OBJECTIVES)
     for v in variants:
         if v not in OBJECTIVES:
             raise UsageError(
                 f"unknown variant {v!r}; valid variants are {', '.join(OBJECTIVES)}"
             )
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [exp.seed]
+    seeds = args.seeds or [exp.seed]
     nodes = build_node_data(exp)
     # every variant trains one standalone model on the monitors' pooled windows
     train, val, test = ({(0, 0): np.concatenate([getattr(nd, split) for nd in nodes.values()])}
@@ -436,9 +450,9 @@ def build_parser():
     p = sub.add_parser("compare", help="train and evaluate GAN-family variants")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--variants", help="comma-separated subset of "
+    p.add_argument("--variants", type=_names, help="comma-separated subset of "
                    + ",".join(OBJECTIVES))
-    p.add_argument("--seeds", help="comma-separated seeds")
+    p.add_argument("--seeds", type=_seeds, help="comma-separated seeds")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("report-costs", help="emit cost tables from a run's ledger")

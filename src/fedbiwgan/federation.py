@@ -221,7 +221,7 @@ class CriticBank:
     with [N, out, in] weights and [N, 1, out] biases, stepped by one Adam
     state. Each monitor's critic parameters become [n] views of the stacked
     leaves, so the monitors keep their own parameters (and checkpoints)
-    while one graph and one grad call per step serve all N of them."""
+    while one closed-form critic step serves all N of them."""
 
     def __init__(self, monitors):
         self.monitors = list(monitors)

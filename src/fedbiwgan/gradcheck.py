@@ -1,8 +1,10 @@
-"""Finite-difference verification of the reverse-mode gradients.
+"""Finite-difference verification of the reverse-mode gradients and of
+the critic's closed-form ones.
 
 Each check builds a small network, computes parameter gradients through
-the graph, recomputes them by central differences, and reports the worst
-relative error max(|a - b|) / max(1, |a|, |b|) over all coordinates.
+the graph (or the critic's closed form), recomputes them by central
+differences, and reports the worst relative error
+max(|a - b|) / max(1, |a|, |b|) over all coordinates.
 """
 
 from __future__ import annotations
@@ -75,24 +77,25 @@ def _check_net(net, x, loss_of_out, h=1e-5, input_grad=False):
 
 
 def _check_critic_loss(critic, real, fake, eps, eta, objective):
-    """Critic parameter gradients of critic_loss against central
-    differences of its value (through the penalty's double backprop)."""
+    """Critic parameter gradients of the closed-form critic_loss against
+    central differences of its value (summed over a stack's members)."""
     params = critic.params()
     analytic = critic_loss(critic, real, fake, eps, eta, objective).param_grads
     numeric = finite_difference_gradient(
-        lambda probe: _at(params, probe,
-                          lambda: critic_loss(critic, real, fake, eps, eta, objective).value),
+        lambda probe: _at(params, probe, lambda: np.sum(
+            critic_loss(critic, real, fake, eps, eta, objective).value)),
         params, 1e-5,
     )
     return _compare(analytic, numeric)
 
 
 def _check_feedbacks(critic, real, fake, objective):
-    """error_feedbacks against central differences of eg_local_loss over
-    every input coordinate of the flat real and fake pair rows."""
+    """error_feedbacks against central differences of eg_local_loss
+    (summed over a stack's members) over every input coordinate of the
+    flat real and fake pair rows."""
     f_e, f_g = error_feedbacks(critic, real, fake, objective)
     numeric = finite_difference_gradient(
-        lambda probe: eg_local_loss(critic, probe["real"], probe["fake"], objective),
+        lambda probe: np.sum(eg_local_loss(critic, probe["real"], probe["fake"], objective)),
         {"real": real, "fake": fake},
     )
     return _compare({"real": f_e, "fake": f_g}, numeric)
@@ -178,7 +181,8 @@ def run_gradcheck(seed=0, verbose=False):
         u = rng.standard_normal((3, cfg.pair_dim))
         record(f"critic[{head}]", _check_net(critic, u, _quad_loss))
 
-    # full critic objective with the gradient penalty (second derivatives)
+    # full critic objective with the gradient penalty (its closed form
+    # reaches the parameters through second derivatives)
     dcfg = replace(cfg, features=2, window=2)
     for eta in (0.0, 1.0, 10.0):
         critic = CriticModel(dcfg, rng)
@@ -213,5 +217,17 @@ def run_gradcheck(seed=0, verbose=False):
         xs = rng.standard_normal((steps, 2, in_dim))
         record(f"vlstm_seq[{in_dim}->{hidden},T={steps}]",
                _check_net(_LstmWrap(cell), xs, _abs_like_loss, input_grad=True))
+
+    # every objective on a bank of two stacked critics over [2, M, pair_dim]
+    # rows, as federation.CriticBank steps them (drawn last as well)
+    for name, objective in OBJECTIVES.items():
+        bank, other = (CriticModel(dcfg, rng, objective) for _ in range(2))
+        for key, p in bank.params().items():
+            p.data = np.stack([p.data, other.params()[key].data]).reshape(2, -1, p.shape[-1])
+        real, fake = (np.stack([_random_rows(rng, 3) for _ in range(2)]) for _ in range(2))
+        eps = rng.uniform(0.0, 1.0, (2, 3))
+        record(f"critic_loss[{name},N=2]",
+               _check_critic_loss(bank, real, fake, eps, 10.0, objective))
+        record(f"feedbacks[{name},N=2]", _check_feedbacks(bank, real, fake, objective))
 
     return max(err for _, err in results)

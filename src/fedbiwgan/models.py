@@ -72,10 +72,15 @@ class Objective:
     - value: "wasserstein", mean D(real) - mean D(fake), or "minimax",
       mean log D(real) + mean log(1 - D(fake)) on a probability head. The
       critic maximizes it; the generator and encoder minimize it.
-    - lipschitz: "penalty" (nn.gradient_penalty), "clip" (every critic
-      weight clipped to +-WEIGHT_CLIP after each step) or "none".
+    - lipschitz: "penalty" (nn.gradient_penalty, closed form), "clip"
+      (every critic weight clipped to +-WEIGHT_CLIP after each step) or
+      "none".
     - joint: the critic sees the full (window, latent) pair, or the
       window only, in which case the feedbacks' latent columns are zero.
+
+    critic_loss, eg_local_loss and error_feedbacks compute every
+    objective in closed form over the critic's FeedForward layers, with
+    no autodiff graph.
     """
 
     name: str
@@ -101,12 +106,6 @@ def get_objective(name) -> Objective:
             f"unknown objective {name!r}; valid objectives are {', '.join(OBJECTIVES)}"
         )
     return OBJECTIVES[name]
-
-
-def _critic_input(d, rows, objective: Objective) -> np.ndarray:
-    """The part of flat pair rows a critic of this objective scores: all of
-    it, or the window columns alone."""
-    return rows if objective.joint else np.ascontiguousarray(rows[..., :d.input_dim])
 
 
 # ---------------------------------------------------------------------------
@@ -254,48 +253,47 @@ def critic_loss(d: CriticModel, real, fake, eps, eta,
     objectives eta * mean[(‖∇D(interp)‖ - 1)²], on flat real and fake
     pair rows [..., M, pair_dim] with interpolation weights [..., M]. A
     critic stacked over [N, M, pair_dim] rows gets one value and one
-    penalty per member."""
-    value, u_real, u_fake = _eg_graph(d, real, fake, objective)
-    loss = ad.neg(value)
-    penalty = 0.0
+    penalty per member. Closed form over the critic's layers: the value
+    backpropagated by hand, and the penalty from nn.gradient_penalty."""
+    value, outs, cot = _eg_forward(d, real, fake, objective)
+    grads = {}
+    d.net.backward(outs, -cot, grads)
+    loss, penalty = -value, 0.0
     if objective.lipschitz == "penalty":
-        penalty_t = gradient_penalty(d, interpolate(u_real.data, u_fake.data, eps), eta)
-        loss = ad.add(loss, penalty_t)
-        penalty = penalty_t.data[()]
-    params = d.params()
-    names = list(params)
-    grads = ad.grad(loss, [params[k] for k in names])
-    return CriticLossResult(
-        value=loss.data[()],
-        penalty=penalty,
-        param_grads={k: g.data for k, g in zip(names, grads)},
-    )
+        penalty = gradient_penalty(d.net, interpolate(*outs[0], eps), eta, grads)
+        loss = loss + penalty
+    return CriticLossResult(value=loss, penalty=penalty, param_grads=grads)
 
 
-def _eg_graph(d: CriticModel, real, fake, objective: Objective):
+def _eg_forward(d: CriticModel, real, fake, objective: Objective):
+    """One critic forward over the real and fake rows stacked on a new
+    leading axis: the objective's value, the forward's outputs, and the
+    value's cotangent at the critic outputs."""
     if real.shape != fake.shape:
         raise ShapeError(f"real rows {real.shape} and fake rows {fake.shape} differ")
     if real.shape[-2] == 0:
         raise ValueError("empty batch")
-    u_real = ad.tensor(_critic_input(d, real, objective), requires_grad=True)
-    u_fake = ad.tensor(_critic_input(d, fake, objective), requires_grad=True)
-    rows = (-2, -1)  # the mean over each critic's [M, 1] outputs
+    # a window-only critic reads the window columns alone
+    width = real.shape[-1] if objective.joint else d.net.layers[0].in_dim
+    rows = np.stack([real[..., :width], fake[..., :width]])
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("critic rows must be finite (NaN/Inf rejected)")
+    outs = d.net.forward(rows)
+    d_real, d_fake = outs[-1]
+    scale = 1.0 / real.shape[-2]  # the mean over each critic's [M, 1] outputs
     if objective.value == "wasserstein":
-        value = ad.tmean(ad.sub(d(u_real), d(u_fake)), axis=rows)
-    else:
-        value = ad.add(
-            ad.tmean(ad.log(d(u_real)), axis=rows),
-            ad.tmean(ad.log(ad.sub(ad.constant(1.0), d(u_fake))), axis=rows),
-        )
-    return value, u_real, u_fake
+        cot = np.empty(outs[-1].shape)
+        cot[0], cot[1] = scale, -scale
+        return (d_real - d_fake).sum(axis=(-2, -1)) * scale, outs, cot
+    value = (np.log(d_real).sum(axis=(-2, -1)) * scale
+             + np.log(1.0 - d_fake).sum(axis=(-2, -1)) * scale)
+    return value, outs, np.stack([scale * (1.0 / d_real), -(scale * (1.0 / (1.0 - d_fake)))])
 
 
 def eg_local_loss(d: CriticModel, real, fake, objective: Objective = BIWGAN_GP):
     """The objective's value on flat pair rows, e.g. mean D(real) - D(fake):
     a float for one critic, an [N] array for a stacked one."""
-    with ad.no_record():
-        value, _, _ = _eg_graph(d, real, fake, objective)
-    return value.data[()]
+    return _eg_forward(d, real, fake, objective)[0]
 
 
 def error_feedbacks(d: CriticModel, real, fake, objective: Objective = BIWGAN_GP):
@@ -303,10 +301,7 @@ def error_feedbacks(d: CriticModel, real, fake, objective: Objective = BIWGAN_GP
     inputs: (F_E rows for real pairs, F_G rows for fake pairs), each shaped
     like the flat pair rows [..., M, window*features + latent_dim]. A
     window-only critic's rows are zero in the latent columns."""
-    value, u_real, u_fake = _eg_graph(d, real, fake, objective)
-    g_real, g_fake = ad.grad(value, [u_real, u_fake])
-    if objective.joint:
-        return g_real.data, g_fake.data
-    zeros = np.zeros(real.shape[:-1] + (real.shape[-1] - d.input_dim,))
-    return (np.concatenate([g_real.data, zeros], axis=-1),
-            np.concatenate([g_fake.data, zeros], axis=-1))
+    g = d.net.backward(*_eg_forward(d, real, fake, objective)[1:])
+    if not objective.joint:
+        g = np.concatenate([g, np.zeros(g.shape[:-1] + (real.shape[-1] - g.shape[-1],))], axis=-1)
+    return g[0], g[1]

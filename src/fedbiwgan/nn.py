@@ -1,5 +1,6 @@
 """Neural-network building blocks: dense layers, vanilla LSTM cells,
-Adam, and a finite-difference gradient oracle.
+feedforward stacks with a numpy forward and backward, the closed-form
+gradient penalty, Adam, and a finite-difference gradient oracle.
 
 All parameters are float64 leaf tensors; weight init is uniform in
 [-1/sqrt(fan_in), +1/sqrt(fan_in)] from a caller-supplied RNG so runs are
@@ -30,6 +31,24 @@ def _activate(x, activation):
     if activation == "tanh":
         return ad.tanh(x)
     raise ValueError(f"unknown activation {activation!r}; expected one of {ACTIVATIONS}")
+
+
+def _slope(activation, a):
+    """σ′ in the output a, as the engine's backward writes it; None if linear."""
+    if activation == "linear":
+        return None
+    return 1.0 - a * a if activation == "tanh" else a * (1.0 - a)
+
+
+def _accumulate(grads, key, g, ndim):
+    """grads[key] += g, with g first summed over leading axes beyond ndim
+    (the axes a parameter was broadcast over)."""
+    if g.ndim > ndim:
+        g = g.sum(axis=tuple(range(g.ndim - ndim)))
+    if key in grads:
+        grads[key] += g
+    else:
+        grads[key] = g
 
 
 def _affine(a, w, b, out):
@@ -76,6 +95,23 @@ class Dense:
             )
         return _activate(ad.add(ad.matmul(x, ad.transpose(self.weights)), self.bias),
                          self.activation)
+
+    def forward(self, x):
+        """__call__'s arithmetic on an array, with no graph."""
+        z = x @ self.weights.data.mT + self.bias.data
+        if self.activation == "tanh":
+            return np.tanh(z, out=z)
+        return _sigmoid(z) if self.activation == "sigmoid" else z
+
+    def add_grads(self, grads, dz, x, bias=True):
+        """Add into grads, under params()' names, the gradients of a
+        cotangent dz at x @ W.T + b: dz.T @ x for W and, with bias, dz
+        summed over the rows for b."""
+        w_key, b_key = self.params()
+        _accumulate(grads, w_key, dz.mT @ x, self.weights.data.ndim)
+        if bias:
+            b = self.bias.data
+            _accumulate(grads, b_key, dz.sum(axis=-2, keepdims=b.ndim > 1), b.ndim)
 
     def params(self):
         return {f"{self.name}/weights": self.weights, f"{self.name}/bias": self.bias}
@@ -219,6 +255,38 @@ class FeedForward:
             x = layer(x)
         return x
 
+    def forward(self, x):
+        """Every layer's output on [..., rows, in] rows x, with no graph:
+        [x, a_1, ..., a_L]. A stack of N nets reads [..., N, rows, in]."""
+        if x.shape[-1] != self.layers[0].in_dim:
+            raise ShapeError(f"{self.name}: input has inner dimension {x.shape[-1]}, "
+                             f"expected {self.layers[0].in_dim}")
+        outs = [x]
+        for layer in self.layers:
+            outs.append(layer.forward(outs[-1]))
+        return outs
+
+    def backward(self, outs, cotangent, grads=None, pre=None):
+        """Reverse pass over forward's outs from a cotangent at the output
+        (None for zero) plus pre[l], where given, at layer l's
+        pre-activation. With a grads dict, adds the parameter gradients
+        into it and returns None; without, returns the input cotangent."""
+        g = cotangent
+        for l in reversed(range(len(self.layers))):
+            layer = self.layers[l]
+            if g is not None and layer.activation != "linear":
+                g = g * _slope(layer.activation, outs[l + 1])
+            if pre is not None and pre[l] is not None:
+                g = pre[l] if g is None else g + pre[l]
+            if g is None:
+                continue
+            if grads is not None:
+                layer.add_grads(grads, g, outs[l])
+                if l == 0:
+                    return None
+            g = g @ layer.weights.data
+        return g
+
     def params(self):
         out = {}
         for layer in self.layers:
@@ -226,26 +294,48 @@ class FeedForward:
         return out
 
 
-def gradient_penalty(critic, x_hat, eta) -> Tensor:
-    """Penalty eta*mean((‖∇_u D(u)‖₂ - 1)²) over the rows of x_hat, as a
-    graph whose parameter gradients are exact via double backprop. The
-    mean runs over the row axis, so a stack of critics over [N, M, in]
-    rows gets one penalty per member."""
+def gradient_penalty(net, x_hat, eta, grads):
+    """Penalty eta*mean((‖g‖₂ - 1)²) over the rows of x_hat, g being the
+    gradient of the FeedForward net's output at a row, with d‖g‖/dg := 0
+    at g = 0; its parameter gradients are added into grads. The mean runs
+    over the row axis, so a stack of critics over [N, M, in] rows gets one
+    penalty per member. Closed form: g is backpropagated by hand, and the
+    penalty reaches the parameters along g's backward chain (through each
+    activation's σ′ and σ″), then back through the forward pass."""
     if eta < 0:
         raise ValueError("penalty coefficient must be non-negative")
-    u = ad.tensor(np.asarray(x_hat, dtype=np.float64), requires_grad=True)
-    g_input = ad.grad(ad.tsum(critic(u)), [u], create_graph=True)[0]
-    gap = ad.sub(ad.l2_norm_rows(g_input), ad.constant(1.0))
-    return ad.mul(ad.constant(float(eta)), ad.tmean(ad.mul(gap, gap), axis=-1))
+    layers, outs = net.layers, net.forward(np.asarray(x_hat, dtype=np.float64))
+    slopes = [_slope(layer.activation, a) for layer, a in zip(layers, outs[1:])]
+    # g from ones at the output; seeds[l] is its cotangent at layer l's
+    # pre-activation
+    seeds, g = [None] * len(layers), np.ones(outs[-1].shape)
+    for l in reversed(range(len(layers))):
+        seeds[l] = g if slopes[l] is None else g * slopes[l]
+        g = seeds[l] @ layers[l].weights.data
+    norm = np.sqrt((g * g).sum(axis=-1))
+    gap, m = norm - 1.0, g.shape[-2]
+    penalty = float(eta) * ((gap * gap).sum(axis=-1) * (1.0 / m))
+    # d penalty / dg, taken as 0 on a row where g = 0
+    cot = ((2.0 * eta / m) * gap / np.where(norm == 0.0, 1.0, norm))[..., None] * g
+    pre = [None] * len(layers)  # what reaches each pre-activation through σ″
+    for l, (layer, a, s) in enumerate(zip(layers, outs[1:], slopes)):
+        layer.add_grads(grads, seeds[l], cot, bias=False)
+        cot = cot @ layer.weights.data.mT  # at seeds[l]
+        if s is not None:
+            # σ″ is σ′ times -2a for tanh and 1 - 2a for sigmoid
+            pre[l] = cot * seeds[l] * (-2.0 * a if layer.activation == "tanh" else 1.0 - 2.0 * a)
+            cot = cot * s
+    net.backward(outs, None, grads, pre)
+    return penalty
 
 
 def gradient_penalty_backward(critic, x_hat, eta):
-    """The gradient penalty's value and its parameter gradients."""
-    penalty = gradient_penalty(critic, x_hat, eta)
-    params = critic.params()
-    names = list(params)
-    grads = ad.grad(penalty, [params[k] for k in names])
-    return float(penalty.data), {k: g.data for k, g in zip(names, grads)}
+    """The gradient penalty's value and its parameter gradients (zero for
+    a parameter the input gradient does not depend on)."""
+    grads = {}
+    penalty = gradient_penalty(critic, x_hat, eta, grads)
+    return float(penalty), {k: grads.get(k, np.zeros(p.data.shape))
+                            for k, p in critic.params().items()}
 
 
 # ---------------------------------------------------------------------------

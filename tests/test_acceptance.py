@@ -45,7 +45,7 @@ from fedbiwgan.federation import (
 from fedbiwgan.gradcheck import run_gradcheck
 from fedbiwgan.ledger import flop_estimates
 from fedbiwgan.models import OBJECTIVES, ModelConfig, critic_loss, error_feedbacks, pair_rows
-from fedbiwgan.nn import gradient_penalty_backward
+from fedbiwgan.nn import FeedForward, gradient_penalty_backward
 from fedbiwgan.config import resolve_experiment
 
 
@@ -101,16 +101,13 @@ def test_gradient_oracle_suite(report):
 
 
 class _LinearRowCritic:
-    """D(u) = u @ w.T, for hand-checkable closed forms."""
+    """D(u) = u @ w.T, for hand-checkable closed forms: a one-layer linear
+    FeedForward with zero bias."""
 
     def __init__(self, w):
-        self.w = ad.tensor(np.asarray(w, dtype=np.float64), requires_grad=True)
-
-    def __call__(self, u):
-        return ad.matmul(u, ad.transpose(self.w))
-
-    def params(self):
-        return {"w": self.w}
+        w = np.asarray(w, dtype=np.float64)
+        self.net = FeedForward([w.shape[1], 1], ["linear"], name="d")
+        self.net.layers[0].weights.data[...] = w
 
 
 def test_linear_critic_closed_forms(report):
@@ -133,8 +130,9 @@ def test_linear_critic_closed_forms(report):
 
     # penalty 10*(|w|-1)^2 = 10 with d(penalty)/dw = 2*10*(2-1) = 20
     d3 = _LinearRowCritic([[2.0]])
-    penalty, grads = gradient_penalty_backward(d3, np.array([[0.7]]), 10.0)
-    err = max(err, abs(penalty - 10.0), float(np.max(np.abs(grads["w"] - 20.0))))
+    penalty, grads = gradient_penalty_backward(d3.net, np.array([[0.7]]), 10.0)
+    err = max(err, abs(penalty - 10.0),
+              float(np.max(np.abs(grads["d/layer0/weights"] - 20.0))))
     report("linear-critic closed forms", err < 1e-10, f"max error {err:.3e}")
 
 

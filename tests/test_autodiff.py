@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedbiwgan import autodiff as ad
+from fedbiwgan.nn import FeedForward, gradient_penalty
 
 
 def _g(out, leaf, out_grad=None):
@@ -51,14 +52,6 @@ def test_unary_grads():
     np.testing.assert_allclose(_g(ad.tsum(ad.sigmoid(x)), x), s * (1 - s))
 
 
-def test_log_div_grads():
-    x = ad.tensor([2.0, 4.0], requires_grad=True)
-    np.testing.assert_allclose(_g(ad.tsum(ad.log(x)), x), 1 / x.data)
-    y = ad.tensor([8.0, 2.0], requires_grad=True)
-    out = ad.tsum(ad.div(y, x))
-    np.testing.assert_allclose(_g(out, y), 1 / x.data)
-
-
 def test_mean_axis():
     x = ad.tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
     out = ad.tsum(ad.tmean(x, axis=0))
@@ -81,21 +74,17 @@ def test_reshape_grad():
     np.testing.assert_allclose(_g(out, x), np.full(6, 2.0))
 
 
-def test_l2_norm_rows_value_and_grad():
-    x = ad.tensor([[3.0, 4.0], [0.0, 2.0]], requires_grad=True)
-    n = ad.l2_norm_rows(x)
-    np.testing.assert_allclose(n.data, [5.0, 2.0])
-    g = _g(ad.tsum(n), x)
-    np.testing.assert_allclose(g, [[0.6, 0.8], [0.0, 1.0]])
-
-
 def test_norm_zero_row_has_zero_grad():
-    # the subgradient convention at the origin
-    x = ad.tensor([[0.0, 0.0]], requires_grad=True)
-    n = ad.l2_norm_rows(x)
-    assert n.data[0] == 0.0
-    g = _g(ad.tsum(n), x)
-    np.testing.assert_array_equal(g, [[0.0, 0.0]])
+    # the subgradient convention at the origin: a row whose input gradient
+    # is 0 (every tanh unit saturated) adds nothing to the penalty's
+    # parameter gradients, only its (0 - 1)² to the penalty's row mean
+    w = np.array([[[1.0, 2.0, 0.5], [0.5, 1.0, 2.0]]])
+    live, dead = np.array([[[0.3, -0.2, 0.1]]]), np.array([[[40.0, 40.0, 40.0]]])
+    penalty, grads = _batched_penalty(np.concatenate([live, dead], axis=1), w)
+    alone, grads_alone = _batched_penalty(live, w)
+    assert penalty == pytest.approx((alone + 1.0) / 2, abs=1e-12)
+    for key, g in grads.items():
+        np.testing.assert_allclose(2 * g, grads_alone[key], rtol=1e-12, atol=1e-15)
 
 
 def test_second_derivative_simple():
@@ -105,29 +94,6 @@ def test_second_derivative_simple():
     g1 = ad.grad(ad.tsum(y), [x], create_graph=True)[0]
     g2 = ad.grad(ad.tsum(g1), [x])[0]
     np.testing.assert_allclose(g2.data, [12.0])
-
-
-def test_second_derivative_through_norm():
-    # f(x) = (||x|| - 1)^2, grad = 2(||x||-1) x/||x||; check hessian-vector
-    # structure numerically for one coordinate
-    x0 = np.array([[3.0, 4.0]])
-    x = ad.tensor(x0, requires_grad=True)
-    gap = ad.sub(ad.l2_norm_rows(x), ad.constant(1.0))
-    f = ad.tsum(ad.mul(gap, gap))
-    g1 = ad.grad(f, [x], create_graph=True)[0]
-    g2 = ad.grad(ad.tsum(g1), [x])[0]
-
-    h = 1e-6
-
-    def grad_sum(xv):
-        n = np.linalg.norm(xv)
-        return float(np.sum(2 * (n - 1) * xv / n))
-
-    num = np.array([
-        (grad_sum(x0[0] + h * e) - grad_sum(x0[0] - h * e)) / (2 * h)
-        for e in np.eye(2)
-    ])
-    np.testing.assert_allclose(g2.data[0], num, atol=1e-6)
 
 
 def test_second_derivative_needs_create_graph():
@@ -199,11 +165,16 @@ def _batched_layer(u, w):
 
 
 def _batched_penalty(u, w):
-    """sum over all rows of (‖∇_u layer‖ - 1)², the penalty's shape."""
-    u = ad.Tensor(u.data, requires_grad=True)
-    g = ad.grad(_batched_layer(u, w), [u], create_graph=True)[0]
-    gap = ad.sub(ad.l2_norm_rows(g), ad.constant(1.0))
-    return ad.tsum(ad.mul(gap, gap))
+    """The closed-form gradient penalty (eta = 1) of D(u) = sum(tanh(u @
+    w^T)) over [N, M, D] rows, as a stack of N two-layer critics: the sum
+    of the members' penalties, and the gradients of each member's."""
+    net = FeedForward([w.shape[-1], w.shape[-2], 1], ["tanh", "linear"], name="d")
+    head = net.layers[1]
+    net.layers[0].weights.data = w
+    net.layers[0].bias.data = np.zeros((len(w), 1, w.shape[-2]))
+    head.weights.data, head.bias.data = np.ones((len(w), 1, w.shape[-2])), np.zeros((len(w), 1, 1))
+    grads = {}
+    return float(np.sum(gradient_penalty(net, u, 1.0, grads))), grads
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -218,24 +189,16 @@ def test_batched_matmul_transpose_norm_first_order(n):
     np.testing.assert_allclose(gw, _numeric_grad(lambda b: _value(_batched_layer, u0, b), w0),
                                atol=1e-8)
 
-    def norms(x):
-        return ad.tsum(ad.mul(ad.l2_norm_rows(x), ad.constant(np.arange(4.0) + 1)))
-
-    assert ad.l2_norm_rows(u).data.shape == (n, 4)
-    np.testing.assert_allclose(ad.grad(norms(u), [u])[0].data,
-                               _numeric_grad(lambda a: _value(norms, a), u0), atol=1e-8)
-
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_batched_matmul_transpose_norm_second_order(n):
-    # parameter gradient of an input-gradient norm: double backprop
-    # through batched matmul, transpose and l2_norm_rows
+    # parameter gradient of an input-gradient norm over a stack of critics,
+    # in closed form
     rng = np.random.default_rng(10 + n)
     u0, w0 = rng.standard_normal((n, 4, 3)), rng.standard_normal((n, 2, 3))
-    w = ad.tensor(w0, requires_grad=True)
-    gw = ad.grad(_batched_penalty(ad.tensor(u0), w), [w])[0].data
+    gw = _batched_penalty(u0, w0)[1]["d/layer0/weights"]
     np.testing.assert_allclose(
-        gw, _numeric_grad(lambda b: _value(_batched_penalty, u0, b), w0), atol=1e-7)
+        gw, _numeric_grad(lambda b: _batched_penalty(u0, b)[0], w0), atol=1e-7)
 
 
 def test_matmul_weight_over_leading_axes():
@@ -271,12 +234,11 @@ def test_batched_members_do_not_mix():
     # member n's gradients depend on member n's inputs only
     rng = np.random.default_rng(3)
     u0, w0 = rng.standard_normal((3, 4, 3)), rng.standard_normal((3, 2, 3))
-    w = ad.tensor(w0, requires_grad=True)
-    full = ad.grad(_batched_penalty(ad.tensor(u0), w), [w])[0].data
+    _, full = _batched_penalty(u0, w0)
     for i in range(3):
-        wi = ad.tensor(w0[i:i + 1], requires_grad=True)
-        alone = ad.grad(_batched_penalty(ad.tensor(u0[i:i + 1]), wi), [wi])[0].data
-        np.testing.assert_array_equal(full[i:i + 1], alone)
+        _, alone = _batched_penalty(u0[i:i + 1], w0[i:i + 1])
+        for key, g in alone.items():
+            np.testing.assert_array_equal(full[key][i:i + 1], g)
 
 
 def test_training_leaves_no_reference_cycles():

@@ -338,3 +338,14 @@ def test_compare_unknown_variant_exits_1(trained_run, tmp_path, capsys):
     assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "cmp"),
                  "--variants", "vae"]) == 1
     assert "unknown variant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--seeds", "a"), ("--seeds", "1,-2"),
+                                         ("--variants", "gan,,wgan")])
+def test_compare_bad_list_flag_exits_2(tmp_path, capsys, flag, value):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(TINY_CONFIG)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(cfg), "--out", str(out), flag, value]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()

@@ -19,7 +19,7 @@ from fedbiwgan.models import (
     interpolate,
     pair_rows,
 )
-from fedbiwgan.nn import ShapeError
+from fedbiwgan.nn import FeedForward, ShapeError, finite_difference_gradient
 
 SMALL = ModelConfig(features=3, window=4, latent_dim=2,
                     gen_hidden=(4, 4), critic_hidden=(5, 4))
@@ -135,17 +135,13 @@ def test_interpolate_endpoints_and_midpoint():
 
 
 class _LinearPairCritic:
-    """D(u) = u @ w.T over flattened (data, latent) pairs."""
+    """D(u) = u @ w.T over flattened (data, latent) pairs: a one-layer
+    linear FeedForward with zero bias."""
 
     def __init__(self, w):
-        self.w = ad.tensor(np.asarray(w, dtype=np.float64), requires_grad=True)
-        self.input_dim = self.w.data.shape[1]
-
-    def __call__(self, u):
-        return ad.matmul(u, ad.transpose(self.w))
-
-    def params(self):
-        return {"w": self.w}
+        w = np.asarray(w, dtype=np.float64)
+        self.net = FeedForward([w.shape[1], 1], ["linear"])
+        self.net.layers[0].weights.data[...] = w
 
 
 def _scalar_pair(x, z):
@@ -221,17 +217,13 @@ def test_feedbacks_constant_critic_zero():
 
 
 class _ConstantProbCritic:
+    """D(u) = p: a one-layer sigmoid FeedForward with zero weights and
+    bias logit(p)."""
+
     def __init__(self, p, input_dim):
-        self.p = p
-        self.input_dim = input_dim
-        self._w = ad.tensor(np.zeros((1, input_dim)), requires_grad=True)
-
-    def __call__(self, u):
-        return ad.add(ad.mul(ad.matmul(u, ad.transpose(self._w)), ad.constant(0.0)),
-                      ad.constant(self.p))
-
-    def params(self):
-        return {"w": self._w}
+        self.net = FeedForward([input_dim, 1], ["sigmoid"])
+        self.net.layers[0].weights.data[...] = 0.0
+        self.net.layers[0].bias.data[...] = np.log(p / (1.0 - p))
 
 
 def _random_pairs(rng, m, window=2, features=2, latent=2):
@@ -303,3 +295,66 @@ def test_window_only_feedbacks_zero_latent_columns(name):
     assert f_e.shape == f_g.shape == (3, cfg.pair_dim)
     assert np.all(f_e[:, 4:] == 0) and np.all(f_g[:, 4:] == 0)
     assert np.any(f_e[:, :4] != 0) and np.any(f_g[:, :4] != 0)
+
+
+# ---------------------------------------------------------------------------
+# the closed form against finite differences
+
+
+class _StackCritic:
+    """A critic of any depth: the FeedForward itself, one or a stack."""
+
+    def __init__(self, net):
+        self.net = net
+
+
+def _at(params, probe, fn):
+    """fn() with the parameters' values swapped for probe's."""
+    saved = {k: p.data for k, p in params.items()}
+    for k, p in params.items():
+        p.data = probe[k]
+    try:
+        return fn()
+    finally:
+        for k, p in params.items():
+            p.data = saved[k]
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("activation", ["linear", "tanh", "sigmoid"])
+@pytest.mark.parametrize("depth", [1, 2, 4])
+@pytest.mark.parametrize("name", sorted(OBJECTIVES))
+def test_closed_form_matches_finite_differences(name, depth, activation, stacked):
+    # every layer takes the activation, but a minimax value needs a
+    # probability head; a stacked critic is two members over [2, M, in]
+    objective = OBJECTIVES[name]
+    rng = np.random.default_rng(depth)
+    width, m = 4, 3
+    head = "sigmoid" if objective.value == "minimax" else activation
+    net = FeedForward([width] + [3] * (depth - 1) + [1], [activation] * (depth - 1) + [head],
+                      rng, name="d")
+    lead = (2,) if stacked else ()
+    params = net.params()
+    for p in params.values():
+        shape = p.data.shape if p.data.ndim == 2 or not stacked else (1,) + p.data.shape
+        p.data = rng.uniform(-1.0, 1.0, lead + shape)
+    d = _StackCritic(net)
+    # a window-only critic reads the first `width` columns of wider rows
+    cols = width if objective.joint else width + 2
+    real, fake = (rng.standard_normal(lead + (m, cols)) for _ in range(2))
+    eps = rng.uniform(0.0, 1.0, lead + (m,))
+
+    def loss():
+        return np.sum(critic_loss(d, real, fake, eps, 10.0, objective).value)
+
+    grads = critic_loss(d, real, fake, eps, 10.0, objective).param_grads
+    numeric = finite_difference_gradient(lambda probe: _at(params, probe, loss), params)
+    for key in params:
+        np.testing.assert_allclose(grads[key], numeric[key], rtol=1e-6, atol=1e-7)
+
+    f_e, f_g = error_feedbacks(d, real, fake, objective)
+    numeric = finite_difference_gradient(
+        lambda probe: np.sum(eg_local_loss(d, probe["real"], probe["fake"], objective)),
+        {"real": real, "fake": fake})
+    np.testing.assert_allclose(f_e, numeric["real"], rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(f_g, numeric["fake"], rtol=1e-6, atol=1e-8)

@@ -266,15 +266,13 @@ def test_backward_matches_finite_differences():
 # gradient penalty
 
 
-class _LinearCritic:
+class _LinearCritic(FeedForward):
+    """D(u) = u @ w.T: one linear layer with zero bias."""
+
     def __init__(self, w):
-        self.w = ad.tensor(np.asarray(w, dtype=np.float64), requires_grad=True)
-
-    def __call__(self, u):
-        return ad.matmul(u, ad.transpose(self.w))
-
-    def params(self):
-        return {"w": self.w}
+        w = np.asarray(w, dtype=np.float64)
+        super().__init__([w.shape[1], 1], ["linear"], name="d")
+        self.layers[0].weights.data[...] = w
 
 
 def test_penalty_linear_critic_w2():
@@ -283,14 +281,14 @@ def test_penalty_linear_critic_w2():
     critic = _LinearCritic([[2.0]])
     penalty, grads = gradient_penalty_backward(critic, np.array([[0.3], [0.9]]), 10.0)
     assert penalty == pytest.approx(10.0, abs=1e-10)
-    np.testing.assert_allclose(grads["w"], [[20.0]], atol=1e-10)
+    np.testing.assert_allclose(grads["d/layer0/weights"], [[20.0]], atol=1e-10)
 
 
 def test_penalty_unit_norm_is_zero():
     critic = _LinearCritic([[1.0]])
     penalty, grads = gradient_penalty_backward(critic, np.array([[0.5]]), 10.0)
     assert penalty == pytest.approx(0.0, abs=1e-12)
-    np.testing.assert_allclose(grads["w"], [[0.0]], atol=1e-10)
+    np.testing.assert_allclose(grads["d/layer0/weights"], [[0.0]], atol=1e-10)
 
 
 def test_penalty_negative_eta_rejected():
