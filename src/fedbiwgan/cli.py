@@ -72,6 +72,16 @@ def _seeds(text):
     return [int(s) for s in seeds]
 
 
+def _variants(text):
+    variants = _names(text)
+    for v in variants:
+        if v not in OBJECTIVES:
+            raise argparse.ArgumentTypeError(
+                f"unknown variant {v!r}; valid variants are {', '.join(OBJECTIVES)}"
+            )
+    return variants
+
+
 @dataclass
 class Manifest:
     """A run's manifest.json; `training` holds only the loop counts."""
@@ -308,11 +318,6 @@ def cmd_evaluate(args):
 def cmd_compare(args):
     exp = load_experiment(args.config)
     variants = args.variants or list(OBJECTIVES)
-    for v in variants:
-        if v not in OBJECTIVES:
-            raise UsageError(
-                f"unknown variant {v!r}; valid variants are {', '.join(OBJECTIVES)}"
-            )
     seeds = args.seeds or [exp.seed]
     nodes = build_node_data(exp)
     # every variant trains one standalone model on the monitors' pooled windows
@@ -450,7 +455,7 @@ def build_parser():
     p = sub.add_parser("compare", help="train and evaluate GAN-family variants")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--variants", type=_names, help="comma-separated subset of "
+    p.add_argument("--variants", type=_variants, help="comma-separated subset of "
                    + ",".join(OBJECTIVES))
     p.add_argument("--seeds", type=_seeds, help="comma-separated seeds")
     p.set_defaults(func=cmd_compare)

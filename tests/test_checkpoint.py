@@ -107,6 +107,30 @@ def test_container_every_bit_flip_raises_checkpoint_error(tmp_path):
             load_container(path)
 
 
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2**40, 2**40),
+                         st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(metadata=st.dictionaries(st.text(max_size=6), _JSON_SCALARS, max_size=4),
+       tensors=st.dictionaries(
+           st.text(alphabet=st.characters(exclude_categories=("Cs",)), max_size=6),
+           hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+                      elements=st.floats(width=64)),
+           max_size=4),
+       data=st.data())
+def test_container_random_bit_flip_raises_checkpoint_error(metadata, tensors, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.ckpt"
+        save_container(path, metadata, tensors)
+        flipped = bytearray(path.read_bytes())
+        bit = data.draw(st.integers(0, 8 * len(flipped) - 1), label="bit")
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(flipped)
+        with pytest.raises(CheckpointError):
+            load_container(path)
+
+
 def test_container_version_1_names_its_version(tmp_path):
     path = tmp_path / "c.ckpt"
     save_container(path, {"k": 1}, {"v": np.arange(4.0)})

@@ -333,11 +333,14 @@ def test_compare_single_variant(trained_run, tmp_path):
     assert rows[0]["dataset_hash"]
 
 
-def test_compare_unknown_variant_exits_1(trained_run, tmp_path, capsys):
-    cfg, _ = trained_run
-    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "cmp"),
-                 "--variants", "vae"]) == 1
-    assert "unknown variant" in capsys.readouterr().err
+def test_compare_unknown_variant_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(TINY_CONFIG)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(cfg), "--out", str(out), "--variants", "vae"]) == 2
+    err = capsys.readouterr().err
+    assert "--variants" in err and "unknown variant" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--seeds", "a"), ("--seeds", "1,-2"),

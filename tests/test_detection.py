@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from fedbiwgan import autodiff as ad
 from fedbiwgan.detection import (
+    _BLOCK,
     ConfusionCounts,
     DetectionError,
     calibrate_threshold,
@@ -17,7 +19,14 @@ from fedbiwgan.detection import (
     per_fault_recall,
     score_windows,
 )
-from fedbiwgan.models import CriticModel, EncoderModel, GeneratorModel, ModelConfig
+from fedbiwgan.models import (
+    CriticModel,
+    EncoderModel,
+    GeneratorModel,
+    ModelConfig,
+    get_objective,
+    pair_rows,
+)
 
 CFG = ModelConfig(features=2, window=2, latent_dim=2,
                   gen_hidden=(3, 3), critic_hidden=(4, 3))
@@ -95,6 +104,77 @@ def test_score_rows_read_like_columns():
     columns = np.column_stack([out.score, out.reconstruction_term, out.discriminator_term])
     assert rows.dtype == columns.dtype == np.float64
     assert rows.tobytes() == columns.tobytes()
+
+
+def _one_shot(x, g, e, d, gamma):
+    """The three score fields from one pass over all rows at once."""
+    n = x.shape[0]
+    with ad.no_record():
+        if e is None:
+            raw = d.raw_output(ad.tensor(x.reshape(n, -1))).data[:, 0]
+            l_rec = np.zeros(n)
+        else:
+            latent = e(ad.tensor(x)).data
+            recon = g(ad.tensor(latent)).data
+            raw = d.raw_output(ad.tensor(pair_rows(x, latent))).data[:, 0]
+            l_rec = np.abs(x - recon).reshape(n, -1).sum(axis=1)
+    l_disc = np.logaddexp(0.0, -raw)
+    score = l_disc if e is None else gamma * l_rec + (1 - gamma) * l_disc
+    return score, l_rec, l_disc
+
+
+@pytest.mark.parametrize("cfg", [ModelConfig(), CFG], ids=["default", "small"])
+@pytest.mark.parametrize("joint", [True, False], ids=["joint", "critic_only"])
+def test_blocked_scores_equal_one_pass(cfg, joint):
+    rng = np.random.default_rng(5)
+    g, e = GeneratorModel(cfg, rng), EncoderModel(cfg, rng)
+    d = CriticModel(cfg, rng, objective=get_objective("biwgan_gp" if joint else "wgan"))
+    e = e if joint else None
+    pool = np.random.default_rng(6).random((3 * _BLOCK + 1, cfg.window, cfg.features)) * 2 - 0.5
+    for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 1):
+        x = pool[:n]
+        out = score_windows(x, g, e, d, 0.7)
+        score, l_rec, l_disc = _one_shot(x, g, e, d, 0.7)
+        np.testing.assert_array_equal(out.score, score)
+        np.testing.assert_array_equal(out.reconstruction_term, l_rec)
+        np.testing.assert_array_equal(out.discriminator_term, l_disc)
+
+
+def _traced_peak(x, models):
+    tracemalloc.start()
+    try:
+        score_windows(x, *models, gamma=0.9)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_score_memory_does_not_grow_with_the_batch():
+    cfg = ModelConfig()
+    rng = np.random.default_rng(0)
+    models = GeneratorModel(cfg, rng), EncoderModel(cfg, rng), CriticModel(cfg, rng)
+    x = np.random.default_rng(1).random((8 * _BLOCK, cfg.window, cfg.features))
+    one_block = _traced_peak(x[:_BLOCK], models)
+    assert _traced_peak(x, models) <= 1.5 * one_block
+
+
+def test_score_non_finite_window_named_before_scoring():
+    x = np.random.default_rng(2).random((_BLOCK + 3, 2, 2))
+    x[-1, 1, 0] = np.nan
+    calls = []
+
+    class _CountingEncoder:
+        def __call__(self, u):
+            calls.append(u.data.shape[0])
+            return ad.tensor(np.zeros((u.data.shape[0], CFG.latent_dim)))
+
+    g, _, d = _models()
+    with pytest.raises(DetectionError, match=f"window {_BLOCK + 2} "):
+        score_windows(x, g, _CountingEncoder(), d, 0.9)
+    assert calls == []
+    x[-1, 1, 0] = -np.inf
+    with pytest.raises(DetectionError, match=f"window {_BLOCK + 2} "):
+        score_windows(x, g, None, d, 0.9)
 
 
 def test_threshold_midpoint():
