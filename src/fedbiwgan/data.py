@@ -143,11 +143,14 @@ class Normalizer:
 
 
 def fit_normalizer(train_values) -> Normalizer:
+    """Per-feature min and max of [..., features] training values, taken
+    over every leading axis of the array as given: reshaping an
+    overlapping window view would copy it."""
     values = np.asarray(train_values, dtype=np.float64)
     if values.size == 0:
         raise DataError("cannot fit normalizer on an empty training set")
-    flat = values.reshape(-1, values.shape[-1])
-    return Normalizer(minimum=flat.min(axis=0), maximum=flat.max(axis=0))
+    axes = tuple(range(values.ndim - 1))
+    return Normalizer(minimum=values.min(axis=axes), maximum=values.max(axis=axes))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +219,8 @@ class InjectionConfig:
 
 def make_windows(values, t, stride=DataConfig.stride):
     """Every stride-th run of t consecutive rows of a [rows, features]
-    matrix, as a C-contiguous float64 [n, t, features] array."""
+    matrix, as a read-only float64 [n, t, features] view of it: window i
+    is rows [i * stride, i * stride + t), and no row is copied."""
     values = np.asarray(values, dtype=np.float64)
     if t < 1:
         raise DataError(f"window length must be >= 1, got {t}")
@@ -224,11 +228,12 @@ def make_windows(values, t, stride=DataConfig.stride):
     if t > values.shape[0]:
         raise DataError(f"window length {t} exceeds record count {values.shape[0]}")
     view = sliding_window_view(values, t, axis=0)[::stride]  # [n, features, t]
-    return np.ascontiguousarray(np.moveaxis(view, -1, 1))
+    return np.moveaxis(view, -1, 1)
 
 
 def split_windows(windows, ratios=DataConfig.ratios):
-    """Chronological train/val/test split; no shuffling across time."""
+    """Chronological train/val/test split; no shuffling across time.
+    Each split is a slice, so a view of the windows stays a view."""
     check_ratios(ratios)
     n = len(windows)
     n_train = int(round(ratios[0] * n))

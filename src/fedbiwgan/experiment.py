@@ -35,7 +35,10 @@ from .federation import RunResult, run_training
 
 @dataclass
 class NodeData:
-    """One monitor's normalized windows, chronologically split."""
+    """One monitor's normalized windows, chronologically split. The
+    splits are read-only views of one normalized [rows, features] series,
+    so a consumer that needs its own memory copies (fancy indexing,
+    `np.array`, `np.concatenate`)."""
 
     train: np.ndarray  # [n, t, features]
     val: np.ndarray
@@ -44,8 +47,9 @@ class NodeData:
 
 
 def build_node_data(exp: Experiment) -> dict:
-    """Per-monitor window shards from the configured data source; the
-    normalizer for each monitor is fitted on its own training split."""
+    """Per-monitor window shards from the configured data source. Each
+    monitor's normalizer is fitted on the raw windows of its own training
+    split; the series is normalized once and its windows are views."""
     data = exp.data
     seed = exp.seed if data.seed is None else data.seed
     nodes = {}
@@ -59,13 +63,10 @@ def build_node_data(exp: Experiment) -> dict:
                 if key not in data.paths:
                     raise ConfigError(f"data.paths has no entry for monitor {key}")
                 values = load_dataset(data.paths[key], column_mapping=data.mapping)
-            splits = split_windows(make_windows(values, exp.model.window, data.stride),
-                                   data.ratios)
-            normalizer = fit_normalizer(splits["train"])
-            nodes[(s, n)] = NodeData(
-                **{name: normalizer.apply(w) for name, w in splits.items()},
-                normalizer=normalizer,
-            )
+            raw = split_windows(make_windows(values, exp.model.window, data.stride), data.ratios)
+            normalizer = fit_normalizer(raw["train"])
+            windows = make_windows(normalizer.apply(values), exp.model.window, data.stride)
+            nodes[(s, n)] = NodeData(**split_windows(windows, data.ratios), normalizer=normalizer)
     return nodes
 
 

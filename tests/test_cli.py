@@ -8,7 +8,10 @@ import shutil
 import numpy as np
 import pytest
 
+from fedbiwgan.checkpoint import save_container
 from fedbiwgan.cli import main
+from fedbiwgan.config import load_experiment
+from fedbiwgan.experiment import build_node_data
 from fedbiwgan.federation import MonitorNode
 
 TINY_CONFIG = """\
@@ -64,6 +67,20 @@ def test_train_writes_all_artifact_kinds(trained_run):
     assert set(manifest["param_counts"]) == {"generator", "encoder", "critic"}
     for rel in manifest["artifacts"]:
         assert (run / rel).exists()
+
+
+def test_window_store_writes_the_bytes_of_contiguous_splits(trained_run, tmp_path):
+    cfg, run = trained_run
+    exp = load_experiment(cfg)
+    for (s, n), nd in build_node_data(exp).items():
+        path = tmp_path / f"node_{s}_{n}.ckpt"
+        save_container(path, {"config_hash": exp.hash, "node": f"{s}.{n}"}, {
+            "train": np.ascontiguousarray(nd.train),
+            "val": np.ascontiguousarray(nd.val),
+            "test": np.ascontiguousarray(nd.test),
+            "norm_min": nd.normalizer.minimum, "norm_max": nd.normalizer.maximum,
+        })
+        assert (run / "windows" / path.name).read_bytes() == path.read_bytes()
 
 
 def test_losses_csv_has_trace_rows(trained_run):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -174,7 +176,8 @@ def test_make_windows_matches_loop_reference(rows, t, stride, features, seed):
     out = make_windows(values, t, stride)
     ref = _loop_windows(values, t, stride)
     assert out.shape == ref.shape == (len(range(0, rows - t + 1, stride)), t, features)
-    assert out.dtype == np.float64 and out.flags["C_CONTIGUOUS"]
+    assert out.dtype == np.float64
+    assert not out.flags.writeable and np.shares_memory(out, values)
     assert out.tobytes() == ref.tobytes()
 
 
@@ -194,6 +197,75 @@ def test_split_bad_ratios():
         resolve_experiment({"data": {"source": "synth", "length": 50, "ratios": [0.5, 0.5]}})
 
 
+def _owner(array):
+    """The array at the end of a view's base chain: the one whose memory it reads."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+def _copied_node_data(values, t, stride, ratios):
+    """The copying pipeline, as a reference: contiguous windows, split,
+    a normalizer fitted on the flattened training windows, applied to
+    each split."""
+    splits = split_windows(_loop_windows(values, t, stride), ratios)
+    flat = splits["train"].reshape(-1, values.shape[1])
+    norm = Normalizer(minimum=flat.min(axis=0), maximum=flat.max(axis=0))
+    return {name: norm.apply(w) for name, w in splits.items()}, norm
+
+
+@pytest.mark.parametrize("ratios", [(0.6, 0.2, 0.2), (0.9, 0.1, 0.0)])
+@pytest.mark.parametrize("stride", [1, 3, 9])
+@pytest.mark.parametrize("window", [4, 8])
+@pytest.mark.parametrize("source", ["synth", "csv"])
+def test_node_data_equals_the_copying_pipeline(tmp_path, source, window, stride, ratios):
+    seed, length = 11, 150
+    data = {"source": source, "length": length, "stride": stride, "ratios": list(ratios)}
+    if source == "synth":
+        node_seed = int(np.random.SeedSequence([seed, 0, 0]).generate_state(1)[0])
+        values = synth_dataset(SynthSpec(length, SynthSpec.noise, node_seed))
+    else:
+        rows = np.random.default_rng(seed).uniform(0.0, 50.0, (length, 26))
+        # row `window` lies in no window at stride 9, so a normalizer fitted
+        # on a row range instead of the training windows sees this spike
+        rows[window] = 1e3
+        path = tmp_path / "node.csv"
+        _write_csv(path, [[i] + list(row) for i, row in enumerate(rows)])
+        values = load_dataset(path)
+        data["paths"] = {"0.0": str(path)}
+    exp = resolve_experiment({"seed": seed, "model": {"window": window}, "data": data})
+    nd = build_node_data(exp)[(0, 0)]
+    ref, norm = _copied_node_data(values, window, stride, ratios)
+    assert nd.normalizer.minimum.tobytes() == norm.minimum.tobytes()
+    assert nd.normalizer.maximum.tobytes() == norm.maximum.tobytes()
+    for name in ("train", "val", "test"):
+        split = getattr(nd, name)
+        assert split.shape == ref[name].shape
+        assert split.tobytes() == ref[name].tobytes()
+        with pytest.raises(ValueError):
+            split[...] = 0.0
+    # one normalized [rows, 26] series holds every window of the monitor
+    series = _owner(nd.train)
+    assert series.shape == values.shape
+    assert _owner(nd.val) is series and _owner(nd.test) is series
+
+
+def _node_data_bytes(window):
+    exp = resolve_experiment({"model": {"window": window},
+                              "data": {"source": "synth", "length": 2000}})
+    tracemalloc.start()
+    try:
+        nodes = build_node_data(exp)  # held while the memory is read
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_node_data_memory_does_not_grow_with_the_window():
+    _node_data_bytes(4)  # the first call also traces one-time imports
+    assert _node_data_bytes(32) <= 1.5 * _node_data_bytes(4)
+
+
 def test_make_windows_shape():
     wins = make_windows(np.zeros((10, 26)), 4, 2)
     assert wins.shape == (4, 4, 26)
@@ -206,7 +278,8 @@ def test_empty_split_keeps_window_shape():
     nd = build_node_data(exp)[(0, 0)]
     assert nd.test.shape == (0, 5, 26)
     for split in (nd.train, nd.val, nd.test):
-        assert split.dtype == np.float64 and split.flags["C_CONTIGUOUS"]
+        assert split.dtype == np.float64 and not split.flags.writeable
+        assert _owner(split) is _owner(nd.train)
     x, labels, faults = inject_faults(nd.test, 0.1)
     assert x.shape == (0, 5, 26) and labels.shape == faults.shape == (0,)
 
@@ -260,13 +333,17 @@ def test_fault_mix_covers_all_types_disjointly():
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(0, 60), rate=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
-       faults=st.lists(st.sampled_from(FAULT_TYPES), min_size=1, max_size=4, unique=True))
-def test_inject_faults_invariants(n, rate, seed, faults):
+       faults=st.lists(st.sampled_from(FAULT_TYPES), min_size=1, max_size=4, unique=True),
+       view=st.booleans())
+def test_inject_faults_invariants(n, rate, seed, faults, view):
     wins = np.random.default_rng(seed).random((n, 4, 26))
+    if view:  # the read-only window view a monitor's splits are made of
+        wins = make_windows(np.random.default_rng(seed).random((n + 4, 26)), 4, 1)[:n]
     before = wins.copy()
     x, labels, names = inject_faults(wins, rate, magnitude=2.5, seed=seed, faults=faults)
     assert wins.tobytes() == before.tobytes()  # the input is not modified
     assert x.shape == wins.shape and x.dtype == np.float64 and x.flags["C_CONTIGUOUS"]
+    assert x.flags.writeable and not np.shares_memory(x, wins)
     count = int(round(rate * n))
     assert labels.sum() == count
     injected = np.flatnonzero(labels)
