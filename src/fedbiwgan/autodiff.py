@@ -1,22 +1,22 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""First-order reverse-mode automatic differentiation over dense float64
+arrays: the independent reference that gradcheck and the acceptance gate
+differentiate through.
 
 Every value is a `Tensor` wrapping a row-major numpy array. Operations on
-tensors that require grad record their parents and a backward closure;
-the closures themselves are written in terms of Tensor operations, so a
-backward pass run with `grad(..., create_graph=True)` is itself recorded
-and can be differentiated again. Nothing in the package needs that: the
-critic's step and its gradient penalty are closed-form numpy over its
-layers (`nn.FeedForward`, `nn.gradient_penalty`), and the engine trains
-the generator and encoder. A backward pass without create_graph, and
-any code run under `no_record()`, records nothing. No node reaches
-itself, so a graph is freed by reference count as soon as it is
-unreachable.
+tensors that require grad record their parents and a backward closure
+that maps the output's cotangent array to one array per parent, in plain
+numpy. Training and scoring never build a graph: the critic's step is
+closed-form numpy over its layers (`nn.FeedForward`,
+`nn.gradient_penalty`), and the VLSTM cell, generator and encoder have
+their own numpy forward and backward, which `nn.as_node` wraps as one
+node for the engine. Code run under `no_record()` records nothing. No
+node reaches itself, so a graph is freed by reference count as soon as
+it is unreachable.
 """
 
 from __future__ import annotations
 
-import weakref
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -39,14 +39,14 @@ def no_record():
 class Tensor:
     """Dense row-major float64 array plus the graph edge that produced it."""
 
-    __slots__ = ("data", "parents", "bwd", "requires_grad", "__weakref__")
+    __slots__ = ("data", "parents", "bwd", "requires_grad")
 
     def __init__(self, data, parents=(), bwd=None, requires_grad=False):
         self.data = data
         if _record and any(p.requires_grad for p in parents):
             self.parents, self.bwd, self.requires_grad = parents, bwd, True
         else:
-            # not recording, or nothing upstream to differentiate: a
+            # under no_record(), or nothing upstream to differentiate: a
             # backward pass would never walk this edge
             self.parents, self.bwd, self.requires_grad = (), None, requires_grad
 
@@ -74,26 +74,21 @@ def zeros(shape):
     return Tensor(np.zeros(shape, dtype=np.float64))
 
 
-def ones(shape):
-    return Tensor(np.ones(shape, dtype=np.float64))
-
-
 # ---------------------------------------------------------------------------
-# primitives
+# primitives; each bwd(g) maps the output's cotangent array g to one array
+# per parent
 
 
 def _reduce_to(g, shape):
     """Sum-reduce a broadcast gradient back to the parent's shape."""
-    if g.data.shape == shape:
+    if g.shape == shape:
         return g
-    extra = g.data.ndim - len(shape)
+    extra = g.ndim - len(shape)
     if extra > 0:
-        g = tsum(g, axis=tuple(range(extra)))
-    axes = tuple(
-        i for i, (gs, ss) in enumerate(zip(g.data.shape, shape)) if ss == 1 and gs != 1
-    )
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
     if axes:
-        g = tsum(g, axis=axes, keepdims=True)
+        g = g.sum(axis=axes, keepdims=True)
     return g
 
 
@@ -106,34 +101,16 @@ def add(a, b):
 
 def sub(a, b):
     def bwd(g):
-        return _reduce_to(g, a.data.shape), _reduce_to(neg(g), b.data.shape)
+        return _reduce_to(g, a.data.shape), _reduce_to(-g, b.data.shape)
 
     return Tensor(a.data - b.data, (a, b), bwd)
 
 
-def neg(a):
-    def bwd(g):
-        return (neg(g),)
-
-    return Tensor(-a.data, (a,), bwd)
-
-
 def mul(a, b):
     def bwd(g):
-        return _reduce_to(mul(g, b), a.data.shape), _reduce_to(mul(g, a), b.data.shape)
+        return _reduce_to(g * b.data, a.data.shape), _reduce_to(g * a.data, b.data.shape)
 
     return Tensor(a.data * b.data, (a, b), bwd)
-
-
-def _reads_output(out, bwd):
-    """Give a recorded node the backward bwd(g, out) of an op whose
-    derivative is written in its own output. The closure reaches the node
-    through a weak reference, so the node and its closure are not a
-    reference cycle and a graph is freed as soon as it is unreachable."""
-    if out.requires_grad:
-        ref = weakref.ref(out)
-        out.bwd = lambda g: bwd(g, ref())
-    return out
 
 
 def matmul(a, b):
@@ -141,8 +118,8 @@ def matmul(a, b):
     axes, e.g. a [out, in] weight applied at every step of [T, batch, in]."""
 
     def bwd(g):
-        return (_reduce_to(matmul(g, transpose(b)), a.data.shape),
-                _reduce_to(matmul(transpose(a), g), b.data.shape))
+        return (_reduce_to(g @ b.data.mT, a.data.shape),
+                _reduce_to(a.data.mT @ g, b.data.shape))
 
     return Tensor(a.data @ b.data, (a, b), bwd)
 
@@ -150,55 +127,26 @@ def matmul(a, b):
 def transpose(a):
     """Swap the last two axes: a matrix transpose, or one per leading
     index of a stack of matrices."""
-
-    def bwd(g):
-        return (transpose(g),)
-
-    return Tensor(a.data.mT, (a,), bwd)
-
-
-def swap_leading(a):
-    """Swap the first two axes, as a view: [batch, T, ...] to time-major
-    [T, batch, ...] and back. It is its own adjoint."""
-
-    def bwd(g):
-        return (swap_leading(g),)
-
-    return Tensor(a.data.swapaxes(0, 1), (a,), bwd)
+    return Tensor(a.data.mT, (a,), lambda g: (g.mT,))
 
 
 def tanh(a):
-    return _reads_output(Tensor(np.tanh(a.data), (a,)), _tanh_bwd)
-
-
-def _tanh_bwd(g, out):
-    return (mul(g, sub(constant(1.0), mul(out, out))),)
+    out = np.tanh(a.data)
+    return Tensor(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def sigmoid(a):
-    return _reads_output(Tensor(1.0 / (1.0 + np.exp(-a.data)), (a,)), _sigmoid_bwd)
-
-
-def _sigmoid_bwd(g, out):
-    return (mul(g, mul(out, sub(constant(1.0), out))),)
+    out = 1.0 / (1.0 + np.exp(-a.data))
+    return Tensor(out, (a,), lambda g: (g * (out * (1.0 - out)),))
 
 
 def tsum(a, axis=None, keepdims=False):
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
     def bwd(g):
-        if axis is None:
-            return (mul(g, ones(a.data.shape)),)
-        gk = g
-        if not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            shape = list(a.data.shape)
-            for ax in axes:
-                shape[ax] = 1
-            gk = reshape(g, tuple(shape))
-        return (mul(gk, ones(a.data.shape)),)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (g * np.ones(a.data.shape),)
 
-    return Tensor(np.asarray(data), (a,), bwd)
+    return Tensor(np.asarray(a.data.sum(axis=axis, keepdims=keepdims)), (a,), bwd)
 
 
 def tmean(a, axis=None, keepdims=False):
@@ -209,24 +157,14 @@ def tmean(a, axis=None, keepdims=False):
 
 
 def reshape(a, shape):
-    def bwd(g):
-        return (reshape(g, a.data.shape),)
-
-    return Tensor(a.data.reshape(shape), (a,), bwd)
+    return Tensor(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
 
 
 def concat(tensors, axis):
-    tensors = list(tensors)
-    sizes = [t.data.shape[axis] for t in tensors]
-
-    def bwd(g):
-        grads, start = [], 0
-        for size in sizes:
-            grads.append(narrow(g, axis, start, size))
-            start += size
-        return tuple(grads)
-
-    return Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bwd)
+    tensors = tuple(tensors)
+    bounds = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis), tensors,
+                  lambda g: tuple(np.split(g, bounds, axis=axis)))
 
 
 def narrow(a, axis, start, length):
@@ -235,73 +173,33 @@ def narrow(a, axis, start, length):
     index = tuple(index)
 
     def bwd(g):
-        return (_embed(g, axis, start, a.data.shape),)
+        full = np.zeros(a.data.shape)
+        full[index] = g
+        return (full,)
 
     # a copy, so a slice does not keep the whole of a alive
     return Tensor(a.data[index].copy(), (a,), bwd)
-
-
-def _embed(g, axis, start, shape):
-    """Adjoint of narrow: place g into a zero array of the given shape."""
-    length = g.data.shape[axis]
-
-    def bwd(gg):
-        return (narrow(gg, axis, start, length),)
-
-    data = np.zeros(shape, dtype=np.float64)
-    index = [slice(None)] * len(shape)
-    index[axis] = slice(start, start + length)
-    data[tuple(index)] = g.data
-    return Tensor(data, (g,), bwd)
-
-
-def recording(*tensors):
-    """Whether an op on these inputs records a graph node."""
-    return _record and any(t.requires_grad for t in tensors)
-
-
-def numpy_op(data, parents, bwd):
-    """A node whose backward bwd(g) maps the output cotangent array to one
-    array per parent (None where a parent needs none) in plain numpy. It
-    records nothing, so a grad(..., create_graph=True) that reaches the
-    node raises."""
-
-    def backward(g):
-        if _record:
-            raise RuntimeError("this op has a numpy backward; it cannot be "
-                               "differentiated twice (create_graph=True)")
-        return tuple(None if d is None else Tensor(d) for d in bwd(g.data))
-
-    return Tensor(data, parents, backward)
 
 
 # ---------------------------------------------------------------------------
 # reverse pass
 
 
-def grad(out, wrt, out_grad=None, create_graph=False):
-    """Gradients of `out` w.r.t. each tensor in `wrt`.
+def grad(out, wrt, out_grad=None):
+    """Gradients of `out` w.r.t. each tensor in `wrt`, as constant tensors.
 
-    Tensors in `wrt` must have requires_grad set, and so must `out`. With
-    create_graph=True the backward pass is recorded, so the returned
-    tensors stay connected to the graph and can be differentiated again
-    (double backprop); otherwise they are constants.
+    Tensors in `wrt` must have requires_grad set, and so must `out`.
     """
     for leaf in wrt:
         if not leaf.requires_grad:
             raise ValueError("grad target does not require grad")
     if not out.requires_grad:
+        raise ValueError("grad output does not require grad")
+    out_grad = np.ones(out.data.shape) if out_grad is None else np.asarray(out_grad,
+                                                                          dtype=np.float64)
+    if out_grad.shape != out.data.shape:
         raise ValueError(
-            "grad output does not require grad; to differentiate a gradient, "
-            "compute that gradient with grad(..., create_graph=True)"
-        )
-    if out_grad is None:
-        out_grad = ones(out.data.shape)
-    elif not isinstance(out_grad, Tensor):
-        out_grad = constant(out_grad)
-    if out_grad.data.shape != out.data.shape:
-        raise ValueError(
-            f"out_grad shape {out_grad.data.shape} != output shape {out.data.shape}"
+            f"out_grad shape {out_grad.shape} != output shape {out.data.shape}"
         )
 
     topo, visited = [], set()
@@ -318,24 +216,21 @@ def grad(out, wrt, out_grad=None, create_graph=False):
         for p in node.parents:
             stack.append((p, False))
 
-    # the backward closures are Tensor code: recording them is what makes
-    # the returned gradients differentiable
-    with nullcontext() if create_graph else no_record():
-        grads = {id(out): out_grad}
-        for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None or node.bwd is None:
-                if node.bwd is None:
-                    grads[id(node)] = g  # keep leaf gradients for lookup below
+    grads = {id(out): out_grad}
+    for node in reversed(topo):
+        g = grads.pop(id(node), None)
+        if g is None or node.bwd is None:
+            if node.bwd is None:
+                grads[id(node)] = g  # keep leaf gradients for lookup below
+            continue
+        for parent, pg in zip(node.parents, node.bwd(g)):
+            if pg is None or not parent.requires_grad:
                 continue
-            for parent, pg in zip(node.parents, node.bwd(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                prev = grads.get(id(parent))
-                grads[id(parent)] = pg if prev is None else add(prev, pg)
+            prev = grads.get(id(parent))
+            grads[id(parent)] = pg if prev is None else prev + pg
 
-        result = []
-        for leaf in wrt:
-            g = grads.get(id(leaf))
-            result.append(zeros(leaf.data.shape) if g is None else g)
-        return result
+    result = []
+    for leaf in wrt:
+        g = grads.get(id(leaf))
+        result.append(zeros(leaf.data.shape) if g is None else Tensor(g))
+    return result

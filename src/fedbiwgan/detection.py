@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .models import CriticModel, EncoderModel, GeneratorModel, pair_rows
 
 # the row type of score_windows' record arrays
@@ -67,7 +66,8 @@ def score_windows(windows, g: GeneratorModel, e: EncoderModel | None, d: CriticM
     reconstruction_term and discriminator_term. With e None the critic
     reads the window alone and the score is its confidence term alone.
     A NaN or infinite entry raises DetectionError naming the first such
-    window, before any block is scored."""
+    window, before any block is scored, and so does a non-finite model
+    output, after the last block."""
     DetectionConfig(gamma)
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim != 3:
@@ -84,16 +84,19 @@ def score_windows(windows, g: GeneratorModel, e: EncoderModel | None, d: CriticM
     # whole-batch product; a tail under half a block joins the block before
     # it, since one- and few-row products take other BLAS paths
     stops = [*range(_BLOCK, n - _BLOCK // 2 + 1, _BLOCK), n]
-    with ad.no_record():
-        for start, stop in zip([0, *stops], stops):
-            block = x[start:stop]
-            if e is None:
-                raw[start:stop] = d.raw_output(ad.tensor(block.reshape(stop - start, -1))).data[:, 0]
-                continue
-            latent = e(ad.tensor(block)).data
-            recon = g(ad.tensor(latent)).data
-            raw[start:stop] = d.raw_output(ad.tensor(pair_rows(block, latent))).data[:, 0]
-            l_rec[start:stop] = np.abs(block - recon).reshape(stop - start, -1).sum(axis=1)
+    for start, stop in zip([0, *stops], stops):
+        block = x[start:stop]
+        if e is None:
+            raw[start:stop] = d.raw_output(block.reshape(stop - start, -1))[:, 0]
+            continue
+        latent, _ = e(block)
+        recon, _ = g(latent)
+        raw[start:stop] = d.raw_output(pair_rows(block, latent))[:, 0]
+        l_rec[start:stop] = np.abs(block - recon).reshape(stop - start, -1).sum(axis=1)
+    finite = np.isfinite(raw) & np.isfinite(l_rec)
+    if not finite.all():
+        raise DetectionError(f"window {int(np.argmin(finite))} scores non-finite: "
+                             "the models' output is NaN or infinite")
     # cross-entropy against target 1: -log sigmoid(raw)
     l_disc = np.logaddexp(0.0, -raw)
     scores = l_disc if e is None else gamma * l_rec + (1 - gamma) * l_disc

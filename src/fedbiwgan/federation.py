@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from . import wire
 from .ledger import CostLedger, PhaseTimer
 from .models import (
@@ -213,7 +212,7 @@ class ManagerNode:
         self.gen_adam = AdamState.for_params(self.generator.params())
         self.enc_adam = AdamState.for_params(self.encoder.params())
         self.noise_spec = NoiseSpec(cfg.noise, model_cfg.latent_dim)
-        self._tapes = None  # (latent or None, fake, monitor -> row slice)
+        self._tapes = None  # (encoder tape or None, generator tape, monitor -> row slice)
 
 
 class CriticBank:
@@ -300,6 +299,8 @@ def manager_generate(manager: ManagerNode, batches: dict, iteration) -> dict:
                 f"monitor {monitor_id} batch shape {x.shape} differs from "
                 f"monitor {ids[0]}'s {xs[0].shape}"
             )
+        _require_finite([x], f"batch from monitor[{manager.slice_id}.{monitor_id}]", iteration,
+                        f"manager[{manager.slice_id}]")
         rng = _seeded_rng(manager.seed, _SEED_NOISE, manager.slice_id, iteration, monitor_id)
         xs.append(x)
         zs.append(manager.noise_spec.sample(rng, x.shape[0]))
@@ -307,14 +308,13 @@ def manager_generate(manager: ManagerNode, batches: dict, iteration) -> dict:
         start += x.shape[0]
     x = np.concatenate(xs)
     if manager.objective.joint:
-        f_t = manager.encoder(ad.tensor(x))
-        latent = f_t.data
+        latent, enc_tape = manager.encoder(x, keep=True)
     else:
         # the critic reads windows only: a zero latent of the encoder's
         # shape keeps the packets, and so the wire bytes, the same
-        f_t, latent = None, np.zeros((len(x), manager.model_cfg.latent_dim))
-    xbar_t = manager.generator(ad.tensor(np.concatenate(zs)))
-    manager._tapes = (f_t, xbar_t, rows)
+        latent, enc_tape = np.zeros((len(x), manager.model_cfg.latent_dim)), None
+    fake, gen_tape = manager.generator(np.concatenate(zs), keep=True)
+    manager._tapes = (enc_tape, gen_tape, rows)
     return {
         monitor_id: GenPacket(
             slice_id=manager.slice_id,
@@ -322,7 +322,7 @@ def manager_generate(manager: ManagerNode, batches: dict, iteration) -> dict:
             iteration=iteration,
             latent_real=latent[rows[monitor_id]],
             noise=z,
-            fake_data=xbar_t.data[rows[monitor_id]],
+            fake_data=fake[rows[monitor_id]],
         )
         for monitor_id, z in zip(ids, zs)
     }
@@ -336,7 +336,7 @@ def assemble_manager_gradients(manager: ManagerNode, feedbacks: list[FeedbackPac
     model takes one backward pass."""
     if manager._tapes is None:
         raise ProtocolError("no generation tapes: manager_generate has not run")
-    f_t, xbar_t, rows = manager._tapes
+    enc_tape, gen_tape, rows = manager._tapes
     cfg = manager.model_cfg
     seen = {}
     for fb in feedbacks:
@@ -367,16 +367,15 @@ def assemble_manager_gradients(manager: ManagerNode, feedbacks: list[FeedbackPac
     cot_f = np.concatenate([seen[k].encoder_feedback[:, data_len:] / n for k in rows])
     cot_x = np.concatenate([seen[k].generator_feedback[:, :data_len] / n for k in rows])
 
-    def backward(model, out, cot):
-        params = model.params()
-        if out is None:
-            # the encoder did not run (window-only objective): its feedback
-            # columns are zero, and so is its gradient
-            return {k: np.zeros_like(p.data) for k, p in params.items()}
-        grads = ad.grad(out, list(params.values()), out_grad=cot.reshape(out.data.shape))
-        return {k: g.data for k, g in zip(params, grads)}
-
-    return backward(manager.generator, xbar_t, cot_x), backward(manager.encoder, f_t, cot_f)
+    g_grads, e_grads = {}, {}
+    manager.generator.backward(gen_tape, cot_x.reshape(-1, cfg.window, cfg.features), g_grads)
+    if enc_tape is None:
+        # the encoder did not run (window-only objective): its feedback
+        # columns are zero, and so is its gradient
+        e_grads = {k: np.zeros_like(p.data) for k, p in manager.encoder.params().items()}
+    else:
+        manager.encoder.backward(enc_tape, cot_f, e_grads)
+    return g_grads, e_grads
 
 
 def manager_update(manager: ManagerNode, feedbacks: list[FeedbackPacket], iteration):

@@ -2,9 +2,10 @@
 the critic's closed-form ones.
 
 Each check builds a small network, computes parameter gradients through
-the graph (or the critic's closed form), recomputes them by central
-differences, and reports the worst relative error
-max(|a - b|) / max(1, |a|, |b|) over all coordinates.
+the first-order engine (a VLSTM cell, generator or encoder as one node
+whose backward is its own numpy backward) or the critic's closed form,
+recomputes them by central differences, and reports the worst relative
+error max(|a - b|) / max(1, |a|, |b|) over all coordinates.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .models import (
     error_feedbacks,
     pair_rows,
 )
-from .nn import Dense, FeedForward, VlstmCell, finite_difference_gradient
+from .nn import Dense, FeedForward, VlstmCell, as_node, finite_difference_gradient
 
 
 def _rel_err(a, b):
@@ -106,19 +107,20 @@ def _random_rows(rng, m):
     return pair_rows(rng.standard_normal((m, 2, 2)), rng.standard_normal((m, 2)))
 
 
-class _LstmWrap:
-    """A cell's hidden states over a window, checked like a network: over a
-    time-major input sequence, or one input fed at each of `steps` steps."""
+class _Node:
+    """A VLSTM cell, generator or encoder checked like a network, as one
+    graph node (nn.as_node); keyword arguments go to its forward, e.g. a
+    cell's `steps`."""
 
-    def __init__(self, cell, steps=None):
-        self.cell = cell
-        self.steps = steps
+    def __init__(self, model, **kwargs):
+        self.model = model
+        self.kwargs = kwargs
 
     def __call__(self, x):
-        return self.cell.sequence(x, steps=self.steps)
+        return as_node(self.model, x, **self.kwargs)
 
     def params(self):
-        return self.cell.params()
+        return self.model.params()
 
 
 def _quad_loss(out):
@@ -162,19 +164,19 @@ def run_gradcheck(seed=0, verbose=False):
         cell = VlstmCell(in_dim, hidden, rng, name="gc/lstm")
         x = rng.standard_normal((2, in_dim))
         record(f"vlstm[{in_dim}->{hidden},T={steps}]",
-               _check_net(_LstmWrap(cell, steps), x, _quad_loss))
+               _check_net(_Node(cell, steps=steps), x, _quad_loss))
 
     # full sequence models on a reduced architecture
     cfg = ModelConfig(features=3, window=3, latent_dim=2,
                       gen_hidden=(3, 3), critic_hidden=(4, 3))
     gen = GeneratorModel(cfg, rng)
     z = rng.standard_normal((2, cfg.latent_dim))
-    record("generator", _check_net(gen, z, _quad_loss))
-    record("generator/abs", _check_net(gen, z, _abs_like_loss))
+    record("generator", _check_net(_Node(gen), z, _quad_loss))
+    record("generator/abs", _check_net(_Node(gen), z, _abs_like_loss))
 
     enc = EncoderModel(cfg, rng)
     xw = rng.standard_normal((2, cfg.window, cfg.features))
-    record("encoder", _check_net(enc, xw, _quad_loss))
+    record("encoder", _check_net(_Node(enc), xw, _quad_loss))
 
     for head, objective in (("linear", BIWGAN_GP), ("sigmoid", OBJECTIVES["bigan"])):
         critic = CriticModel(cfg, rng, objective)
@@ -216,7 +218,7 @@ def run_gradcheck(seed=0, verbose=False):
         cell = VlstmCell(in_dim, hidden, rng, name="gc/lstm")
         xs = rng.standard_normal((steps, 2, in_dim))
         record(f"vlstm_seq[{in_dim}->{hidden},T={steps}]",
-               _check_net(_LstmWrap(cell), xs, _abs_like_loss, input_grad=True))
+               _check_net(_Node(cell), xs, _abs_like_loss, input_grad=True))
 
     # every objective on a bank of two stacked critics over [2, M, pair_dim]
     # rows, as federation.CriticBank steps them (drawn last as well)

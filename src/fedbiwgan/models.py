@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .nn import Dense, FeedForward, ShapeError, VlstmCell, gradient_penalty
 
@@ -112,11 +111,20 @@ def get_objective(name) -> Objective:
 # models
 
 
+def _head_grads(head: Dense, grads, g, x):
+    """A time-major dense head's parameter gradients from the cotangent g
+    at its output over [T, batch, in] rows x. The bias sums g over time
+    and batch at once, the order of the graph's broadcast reduction;
+    add_grads' two-stage sum would differ in the last bit."""
+    head.add_grads(grads, g, x, bias=False)
+    grads[f"{head.name}/bias"] = g.sum(axis=(0, 1))
+
+
 class GeneratorModel:
     """Two VLSTM layers and a linear dense head; maps latent vectors to
     fake windows [batch, window, features]. The latent vector is fed as
     the cell input at every time step; the layers and the head run
-    time-major."""
+    time-major. Forward and backward are numpy, as FeedForward's are."""
 
     def __init__(self, cfg: ModelConfig, rng):
         self.cfg = cfg
@@ -125,13 +133,25 @@ class GeneratorModel:
         self.lstm2 = VlstmCell(h1, h2, rng, name="g/lstm2")
         self.head = Dense(h2, cfg.features, "linear", rng, name="g/head")
 
-    def __call__(self, z: Tensor) -> Tensor:
-        if z.data.ndim != 2 or z.data.shape[1] != self.cfg.latent_dim:
+    def __call__(self, z, keep=False):
+        """Fake windows from [batch, latent] noise, and backward's tape
+        (None without keep)."""
+        if z.ndim != 2 or z.shape[1] != self.cfg.latent_dim:
             raise ShapeError(
-                f"generator expects [batch, {self.cfg.latent_dim}] noise, got {z.data.shape}"
+                f"generator expects [batch, {self.cfg.latent_dim}] noise, got {z.shape}"
             )
-        hidden = self.lstm2.sequence(self.lstm1.sequence(z, steps=self.cfg.window))
-        return ad.swap_leading(self.head(hidden))
+        h1, tape1 = self.lstm1(z, steps=self.cfg.window, keep=keep)
+        h2, tape2 = self.lstm2(h1, keep=keep)
+        return self.head.forward(h2).swapaxes(0, 1), ((tape1, tape2, h2) if keep else None)
+
+    def backward(self, tape, cot, grads):
+        """Write into grads, under params()' names, the parameter gradients
+        of a cotangent [batch, window, features] at the output."""
+        tape1, tape2, h2 = tape
+        g = cot.swapaxes(0, 1)
+        _head_grads(self.head, grads, g, h2)
+        g = self.lstm2.backward(tape2, g @ self.head.weights.data, grads)
+        self.lstm1.backward(tape1, g, grads, input_grad=False)
 
     def params(self):
         out = {}
@@ -144,7 +164,7 @@ class GeneratorModel:
 class EncoderModel:
     """Mirror of the generator in fully reverse order: a linear dense
     layer per step, then two VLSTM layers, all time-major; the final hidden
-    state is the latent representation."""
+    state is the latent representation. Forward and backward are numpy."""
 
     def __init__(self, cfg: ModelConfig, rng):
         self.cfg = cfg
@@ -153,15 +173,30 @@ class EncoderModel:
         self.lstm1 = VlstmCell(h2, h1, rng, name="e/lstm1")
         self.lstm2 = VlstmCell(h1, cfg.latent_dim, rng, name="e/lstm2")
 
-    def __call__(self, x: Tensor) -> Tensor:
-        shape = x.data.shape
+    def __call__(self, x, keep=False):
+        """Latents [batch, latent] of [batch, window, features] windows,
+        and backward's tape (None without keep)."""
+        shape = x.shape
         if len(shape) != 3 or shape[1] != self.cfg.window or shape[2] != self.cfg.features:
             raise ShapeError(
                 f"encoder expects [batch, {self.cfg.window}, {self.cfg.features}] "
                 f"windows, got {shape}"
             )
-        hidden = self.lstm2.sequence(self.lstm1.sequence(self.head(ad.swap_leading(x))))
-        return ad.reshape(ad.narrow(hidden, 0, self.cfg.window - 1, 1), hidden.shape[1:])
+        steps = x.swapaxes(0, 1)
+        h1, tape1 = self.lstm1(self.head.forward(steps), keep=keep)
+        h2, tape2 = self.lstm2(h1, keep=keep)
+        # a copy, so the latents do not keep every step's states alive
+        return h2[-1].copy(), ((steps, tape1, tape2) if keep else None)
+
+    def backward(self, tape, cot, grads):
+        """Write into grads, under params()' names, the parameter gradients
+        of a cotangent [batch, latent] at the output, which reaches the
+        last step's hidden state only."""
+        steps, tape1, tape2 = tape
+        g = np.zeros((len(steps), *cot.shape))
+        g[-1] = cot
+        g = self.lstm1.backward(tape1, self.lstm2.backward(tape2, g, grads), grads)
+        _head_grads(self.head, grads, g, steps)
 
     def params(self):
         out = {}
@@ -195,14 +230,14 @@ class CriticModel:
             )
         return self.net(u)
 
-    def raw_output(self, u: Tensor) -> Tensor:
-        """Pre-sigmoid scalar, whatever the head (used by Eq-28-style
-        probability scoring)."""
+    def raw_output(self, u):
+        """The head's pre-activation [..., 1] on array rows u, whatever
+        the head (used by Eq-28-style probability scoring)."""
         x = u
         for layer in self.net.layers[:-1]:
-            x = layer(x)
+            x = layer.forward(x)
         last = self.net.layers[-1]
-        return ad.add(ad.matmul(x, ad.transpose(last.weights)), last.bias)
+        return x @ last.weights.data.mT + last.bias.data
 
     def params(self):
         return self.net.params()

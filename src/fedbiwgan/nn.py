@@ -1,6 +1,12 @@
-"""Neural-network building blocks: dense layers, vanilla LSTM cells,
-feedforward stacks with a numpy forward and backward, the closed-form
-gradient penalty, Adam, and a finite-difference gradient oracle.
+"""Neural-network building blocks: dense layers, vanilla LSTM cells and
+feedforward stacks, each with a numpy forward and backward that training
+and scoring run; the closed-form gradient penalty, Adam, and a
+finite-difference gradient oracle.
+
+`Dense` and `FeedForward` also build autodiff graphs when called on a
+Tensor, and `as_node` makes a cell's, generator's or encoder's numpy
+forward and backward one graph node: the first-order engine is the
+reference that gradcheck and the acceptance gate differentiate through.
 
 All parameters are float64 leaf tensors; weight init is uniform in
 [-1/sqrt(fan_in), +1/sqrt(fan_in)] from a caller-supplied RNG so runs are
@@ -141,25 +147,21 @@ class VlstmCell:
         self.b_z = ad.tensor(np.zeros(hidden_dim), requires_grad=True)
         self.b_o = ad.tensor(np.zeros(hidden_dim), requires_grad=True)
 
-    def sequence(self, x: Tensor, steps=None) -> Tensor:
+    def __call__(self, x, steps=None, keep=False):
         """Hidden states [T, batch, hidden] from zero state, over time-major
         inputs x [T, batch, in], or over one [batch, in] input fed at each
-        of `steps` steps. The whole window is one graph node whose backward
-        is numpy BPTT, with the weight gradients matmuls over all T*batch
-        rows at once; it cannot be differentiated twice."""
-        if x.data.ndim != (3 if steps is None else 2) or x.data.shape[-1] != self.in_dim:
+        of `steps` steps, and backward's tape: every step's gates and gate
+        inputs with keep, else None, one step's buffers being reused."""
+        if x.ndim != (3 if steps is None else 2) or x.shape[-1] != self.in_dim:
             raise ShapeError(
                 f"{self.name}: expected {'[T, batch' if steps is None else '[batch'}, "
-                f"{self.in_dim}] input, got {x.data.shape}"
+                f"{self.in_dim}] input, got {x.shape}"
             )
         n, hid = self.in_dim, self.hidden_dim
-        params = (self.w_i, self.b_i, self.w_f, self.b_f,
-                  self.w_z, self.b_z, self.w_o, self.b_o)
-        w_i, b_i, w_f, b_f, w_z, b_z, w_o, b_o = (p.data for p in params)
-        xs = x.data
-        T = len(xs) if steps is None else steps
-        batch = xs.shape[-2]
-        keep = ad.recording(x, *params)
+        w_i, b_i, w_f, b_f, w_z, b_z, w_o, b_o = (p.data for p in (
+            self.w_i, self.b_i, self.w_f, self.b_f, self.w_z, self.b_z, self.w_o, self.b_o))
+        T = len(x) if steps is None else steps
+        batch = x.shape[-2]
         # time-major caches for the backward; one reused step when forward only
         cached = T if keep else 1
         a_in = np.zeros((cached, batch, n + 2 * hid))  # [y, h_prev, c_prev]
@@ -171,7 +173,7 @@ class VlstmCell:
         for t in range(T):
             k = t if keep else 0
             a = a_in[k]
-            a[:, :n] = xs if steps is not None else xs[t]
+            a[:, :n] = x if steps is not None else x[t]
             if t:
                 a[:, n:n + hid] = hs[t - 1]
                 a[:, n + hid:] = c
@@ -188,45 +190,55 @@ class VlstmCell:
             a_out[k, :, n + hid:] = c
             _sigmoid(_affine(a_out[k], w_o, b_o, gate_o))
             np.multiply(gate_o, np.tanh(c, out=tanh_c), out=hs[t])
-        if not keep:
-            return Tensor(hs)
+        return hs, ((a_in, a_out, gates, steps) if keep else None)
 
-        def bwd(g):
-            gate_i, gate_f, cand, gate_o, tanh_c = gates
-            # what dc gives the i, f, z pre-activations, and what dh gives
-            # the o pre-activation and c, at every step at once
-            dc_to_ifz = np.stack([cand * gate_i * (1.0 - gate_i),
-                                  a_in[..., n + hid:] * gate_f * (1.0 - gate_f),
-                                  gate_i * (1.0 - cand * cand)], axis=2)
-            dh_to_o = tanh_c * gate_o * (1.0 - gate_o)
-            dh_to_c = gate_o * (1.0 - tanh_c * tanh_c)
-            w_if = np.concatenate([w_i, w_f])
-            d_pre = np.empty((T, batch, 4, hid))  # pre-activation i, f, z, o
-            dx = np.zeros(xs.shape) if x.requires_grad else None
-            dh_next = dc_next = 0.0
-            for t in reversed(range(T)):
-                dh = g[t] + dh_next
-                d_o = np.multiply(dh, dh_to_o[t], out=d_pre[t, :, 3])
-                d_out = d_o @ w_o
-                dc = dc_next + dh * dh_to_c[t] + d_out[:, n + hid:]
-                np.multiply(dc[:, None], dc_to_ifz[t], out=d_pre[t, :, :3])
-                d_in = d_pre[t, :, :2].reshape(batch, 2 * hid) @ w_if
-                d_yh = d_in[:, :n + hid] + d_pre[t, :, 2] @ w_z + d_out[:, :n + hid]
-                dh_next = d_yh[:, n:]
-                dc_next = dc * gate_f[t] + d_in[:, n + hid:]
-                if dx is not None and steps is None:
-                    dx[t] = d_yh[:, :n]
-                elif dx is not None:
-                    dx += d_yh[:, :n]
-            rows = d_pre.reshape(T * batch, 4 * hid)
-            wide_in = a_in.reshape(T * batch, -1)
-            g_if = rows[:, :2 * hid].T @ wide_in
-            g_b = rows.sum(axis=0).reshape(4, hid)
-            return (dx, g_if[:hid], g_b[0], g_if[hid:], g_b[1],
-                    rows[:, 2 * hid:3 * hid].T @ wide_in[:, :n + hid], g_b[2],
-                    rows[:, 3 * hid:].T @ a_out.reshape(T * batch, -1), g_b[3])
-
-        return ad.numpy_op(hs, (x, *params), bwd)
+    def backward(self, tape, g, grads, input_grad=True):
+        """BPTT from a cotangent g [T, batch, hidden] at the hidden states
+        of a forward kept on tape: writes the parameter gradients into
+        grads under params()' names, the weights' as matmuls over all
+        T*batch rows at once, and returns the input's cotangent (None
+        without input_grad)."""
+        a_in, a_out, gates, steps = tape
+        n, hid = self.in_dim, self.hidden_dim
+        T, batch = a_in.shape[:2]
+        w_i, w_f, w_z, w_o = (p.data for p in (self.w_i, self.w_f, self.w_z, self.w_o))
+        gate_i, gate_f, cand, gate_o, tanh_c = gates
+        # what dc gives the i, f, z pre-activations, and what dh gives
+        # the o pre-activation and c, at every step at once
+        dc_to_ifz = np.stack([cand * gate_i * (1.0 - gate_i),
+                              a_in[..., n + hid:] * gate_f * (1.0 - gate_f),
+                              gate_i * (1.0 - cand * cand)], axis=2)
+        dh_to_o = tanh_c * gate_o * (1.0 - gate_o)
+        dh_to_c = gate_o * (1.0 - tanh_c * tanh_c)
+        w_if = np.concatenate([w_i, w_f])
+        d_pre = np.empty((T, batch, 4, hid))  # pre-activation i, f, z, o
+        dx = None
+        if input_grad:
+            dx = np.zeros((T, batch, n) if steps is None else (batch, n))
+        dh_next = dc_next = 0.0
+        for t in reversed(range(T)):
+            dh = g[t] + dh_next
+            d_o = np.multiply(dh, dh_to_o[t], out=d_pre[t, :, 3])
+            d_out = d_o @ w_o
+            dc = dc_next + dh * dh_to_c[t] + d_out[:, n + hid:]
+            np.multiply(dc[:, None], dc_to_ifz[t], out=d_pre[t, :, :3])
+            d_in = d_pre[t, :, :2].reshape(batch, 2 * hid) @ w_if
+            d_yh = d_in[:, :n + hid] + d_pre[t, :, 2] @ w_z + d_out[:, :n + hid]
+            dh_next = d_yh[:, n:]
+            dc_next = dc * gate_f[t] + d_in[:, n + hid:]
+            if dx is not None and steps is None:
+                dx[t] = d_yh[:, :n]
+            elif dx is not None:
+                dx += d_yh[:, :n]
+        rows = d_pre.reshape(T * batch, 4 * hid)
+        wide_in = a_in.reshape(T * batch, -1)
+        g_if = rows[:, :2 * hid].T @ wide_in
+        g_b = rows.sum(axis=0).reshape(4, hid)
+        grads.update(zip(self.params(), (
+            g_if[:hid], g_b[0], g_if[hid:], g_b[1],
+            rows[:, 2 * hid:3 * hid].T @ wide_in[:, :n + hid], g_b[2],
+            rows[:, 3 * hid:].T @ a_out.reshape(T * batch, -1), g_b[3])))
+        return dx
 
     def params(self):
         return {
@@ -235,6 +247,22 @@ class VlstmCell:
             f"{self.name}/w_z": self.w_z, f"{self.name}/b_z": self.b_z,
             f"{self.name}/w_o": self.w_o, f"{self.name}/b_o": self.b_o,
         }
+
+
+def as_node(model, x: Tensor, **kwargs) -> Tensor:
+    """A VlstmCell, GeneratorModel or EncoderModel called on a Tensor as
+    one graph node: the model's numpy forward, whose backward is the
+    model's own. gradcheck and the tests differentiate these models
+    through the engine this way."""
+    params = model.params()
+    out, tape = model(x.data, keep=True, **kwargs)
+
+    def bwd(g):
+        grads = {}
+        dx = model.backward(tape, g, grads)
+        return (dx, *(grads[k] for k in params))
+
+    return Tensor(out, (x, *params.values()), bwd)
 
 
 class FeedForward:

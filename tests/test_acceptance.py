@@ -45,7 +45,7 @@ from fedbiwgan.federation import (
 from fedbiwgan.gradcheck import run_gradcheck
 from fedbiwgan.ledger import flop_estimates
 from fedbiwgan.models import OBJECTIVES, ModelConfig, critic_loss, error_feedbacks, pair_rows
-from fedbiwgan.nn import FeedForward, gradient_penalty_backward
+from fedbiwgan.nn import FeedForward, as_node, gradient_penalty_backward
 from fedbiwgan.config import resolve_experiment
 
 
@@ -141,9 +141,9 @@ def _direct_eg_grads(manager, monitors, batches, packets):
     total = None
     for mon in monitors:
         x = batches[mon.monitor_id]
-        f_t = manager.encoder(ad.tensor(x))
+        f_t = as_node(manager.encoder, ad.tensor(x))
         z = packets[mon.monitor_id].noise
-        xbar_t = manager.generator(ad.tensor(z))
+        xbar_t = as_node(manager.generator, ad.tensor(z))
         m = x.shape[0]
         u_real = ad.concat([ad.tensor(x.reshape(m, -1)), f_t], axis=1)
         u_fake = ad.concat(

@@ -87,22 +87,6 @@ def test_norm_zero_row_has_zero_grad():
         np.testing.assert_allclose(2 * g, grads_alone[key], rtol=1e-12, atol=1e-15)
 
 
-def test_second_derivative_simple():
-    # d2/dx2 of x^3 = 6x
-    x = ad.tensor([2.0], requires_grad=True)
-    y = ad.mul(ad.mul(x, x), x)
-    g1 = ad.grad(ad.tsum(y), [x], create_graph=True)[0]
-    g2 = ad.grad(ad.tsum(g1), [x])[0]
-    np.testing.assert_allclose(g2.data, [12.0])
-
-
-def test_second_derivative_needs_create_graph():
-    x = ad.tensor([2.0], requires_grad=True)
-    g1 = ad.grad(ad.tsum(ad.mul(ad.mul(x, x), x)), [x])[0]
-    with pytest.raises(ValueError, match="create_graph=True"):
-        ad.grad(ad.tsum(g1), [x])
-
-
 def test_first_order_gradient_holds_no_graph():
     x = ad.tensor([1.0, 2.0], requires_grad=True)
     g = ad.grad(ad.tsum(ad.tanh(ad.mul(x, x))), [x])[0]
@@ -217,17 +201,6 @@ def test_matmul_weight_over_leading_axes():
     assert gw.shape == (5, 2)
     np.testing.assert_allclose(gw, _numeric_grad(lambda b: _value(layer, x0, b), w0), atol=1e-8)
     np.testing.assert_allclose(gx, _numeric_grad(lambda a: _value(layer, a, w0), x0), atol=1e-8)
-
-
-def test_swap_leading_roundtrip_and_grad():
-    x0 = np.arange(24.0).reshape(2, 3, 4)
-    x = ad.tensor(x0, requires_grad=True)
-    swapped = ad.swap_leading(x)
-    assert swapped.data.shape == (3, 2, 4)
-    np.testing.assert_array_equal(ad.swap_leading(swapped).data, x0)
-    weights = np.arange(24.0).reshape(3, 2, 4)
-    g = _g(ad.tsum(ad.mul(swapped, ad.constant(weights))), x)
-    np.testing.assert_array_equal(g, weights.swapaxes(0, 1))
 
 
 def test_batched_members_do_not_mix():

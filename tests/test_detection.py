@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedbiwgan import autodiff as ad
 from fedbiwgan.detection import (
     _BLOCK,
     ConfusionCounts,
@@ -39,7 +38,7 @@ class _IdentityGen:
         self._x = np.asarray(x, dtype=np.float64)
 
     def __call__(self, z):
-        return ad.tensor(self._x)
+        return self._x, None
 
 
 class _FixedCritic:
@@ -47,8 +46,7 @@ class _FixedCritic:
         self.raw = float(raw)
 
     def raw_output(self, u):
-        n = u.data.shape[0]
-        return ad.tensor(np.full((n, 1), self.raw))
+        return np.full((len(u), 1), self.raw)
 
 
 def _models(seed=0):
@@ -109,15 +107,14 @@ def test_score_rows_read_like_columns():
 def _one_shot(x, g, e, d, gamma):
     """The three score fields from one pass over all rows at once."""
     n = x.shape[0]
-    with ad.no_record():
-        if e is None:
-            raw = d.raw_output(ad.tensor(x.reshape(n, -1))).data[:, 0]
-            l_rec = np.zeros(n)
-        else:
-            latent = e(ad.tensor(x)).data
-            recon = g(ad.tensor(latent)).data
-            raw = d.raw_output(ad.tensor(pair_rows(x, latent))).data[:, 0]
-            l_rec = np.abs(x - recon).reshape(n, -1).sum(axis=1)
+    if e is None:
+        raw = d.raw_output(x.reshape(n, -1))[:, 0]
+        l_rec = np.zeros(n)
+    else:
+        latent, _ = e(x)
+        recon, _ = g(latent)
+        raw = d.raw_output(pair_rows(x, latent))[:, 0]
+        l_rec = np.abs(x - recon).reshape(n, -1).sum(axis=1)
     l_disc = np.logaddexp(0.0, -raw)
     score = l_disc if e is None else gamma * l_rec + (1 - gamma) * l_disc
     return score, l_rec, l_disc
@@ -165,8 +162,8 @@ def test_score_non_finite_window_named_before_scoring():
 
     class _CountingEncoder:
         def __call__(self, u):
-            calls.append(u.data.shape[0])
-            return ad.tensor(np.zeros((u.data.shape[0], CFG.latent_dim)))
+            calls.append(len(u))
+            return np.zeros((len(u), CFG.latent_dim)), None
 
     g, _, d = _models()
     with pytest.raises(DetectionError, match=f"window {_BLOCK + 2} "):
@@ -175,6 +172,21 @@ def test_score_non_finite_window_named_before_scoring():
     x[-1, 1, 0] = -np.inf
     with pytest.raises(DetectionError, match=f"window {_BLOCK + 2} "):
         score_windows(x, g, None, d, 0.9)
+
+
+def test_score_non_finite_model_output_named():
+    # a NaN weight poisons every window's latent; a reconstruction poisoned
+    # in one row past the first _BLOCK names that row
+    x = np.random.default_rng(3).random((_BLOCK + 9, 2, 2))
+    g, e, d = _models()
+    e.head.weights.data[0, 0] = np.nan
+    with pytest.raises(DetectionError, match="window 0 scores non-finite"):
+        score_windows(x, g, e, d, 0.9)
+    recon = x.copy()
+    recon[_BLOCK + 5, 0, 1] = np.inf
+    _, e, _ = _models()
+    with pytest.raises(DetectionError, match=f"window {_BLOCK + 5} scores non-finite"):
+        score_windows(x, _IdentityGen(recon), e, d, 0.9)
 
 
 def test_threshold_midpoint():

@@ -27,6 +27,7 @@ from fedbiwgan.federation import (
 )
 from fedbiwgan.ledger import CostLedger
 from fedbiwgan.models import OBJECTIVES, EncoderModel, GeneratorModel, ModelConfig
+from fedbiwgan.nn import as_node
 
 SMALL = ModelConfig(features=3, window=3, latent_dim=2,
                     gen_hidden=(3, 3), critic_hidden=(4, 3))
@@ -277,9 +278,9 @@ def test_encoder_runs_only_for_joint_objectives(monkeypatch, name):
     calls = []
     forward = EncoderModel.__call__
 
-    def counted(self, x):
+    def counted(self, x, **kwargs):
         calls.append(x)
-        return forward(self, x)
+        return forward(self, x, **kwargs)
 
     monkeypatch.setattr(EncoderModel, "__call__", counted)
     topo = TopologySpec(1, 2)
@@ -289,6 +290,15 @@ def test_encoder_runs_only_for_joint_objectives(monkeypatch, name):
     # the window-only critic's packets carry a zero latent of the same shape
     latent_bytes = [r["payload_bytes"] for r in res.ledger.records if r["kind"] == "gen_packet"]
     assert latent_bytes == [8 * 4 * (2 * SMALL.latent_dim + SMALL.window * SMALL.features)] * 4
+
+
+def test_manager_generate_names_the_monitor_with_a_nonfinite_batch():
+    manager = ManagerNode(2, SMALL, _cfg(), 0)
+    batches = {n: np.random.default_rng(n).random((4, 3, 3)) for n in range(3)}
+    batches[1][2, 0, 1] = np.nan
+    with pytest.raises(NonFiniteError, match=r"non-finite batch from monitor\[2\.1\] "
+                                             r"at iteration 7 on manager\[2\]"):
+        manager_generate(manager, batches, 7)
 
 
 def test_manager_generate_rejects_empty():
@@ -307,9 +317,9 @@ def _end_to_end_eg_grads(manager, monitors, batches, packets, iteration):
     total = None
     for mon in monitors:
         x = batches[mon.monitor_id]
-        f_t = manager.encoder(ad.tensor(x))
+        f_t = as_node(manager.encoder, ad.tensor(x))
         z = packets[mon.monitor_id].noise
-        xbar_t = manager.generator(ad.tensor(z))
+        xbar_t = as_node(manager.generator, ad.tensor(z))
         m = x.shape[0]
         u_real = ad.concat([ad.tensor(x.reshape(m, -1)), f_t], axis=1)
         u_fake = ad.concat(
@@ -416,7 +426,7 @@ def test_assemble_protocol_errors():
 
 
 def test_manager_iteration_is_one_batched_pass(monkeypatch):
-    calls = {"encoder": 0, "generator": 0, "grad": 0}
+    calls = {"encoder": 0, "generator": 0, "encoder.backward": 0, "generator.backward": 0}
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -435,9 +445,13 @@ def test_manager_iteration_is_one_batched_pass(monkeypatch):
     shape = (4, SMALL.pair_dim)
     feedbacks = [FeedbackPacket(0, n, 1, rng.random(shape), rng.random(shape))
                  for n in range(4)]
-    monkeypatch.setattr(ad, "grad", counting("grad", ad.grad))
+    monkeypatch.setattr(EncoderModel, "backward",
+                        counting("encoder.backward", EncoderModel.backward))
+    monkeypatch.setattr(GeneratorModel, "backward",
+                        counting("generator.backward", GeneratorModel.backward))
     assemble_manager_gradients(manager, feedbacks, 1)
-    assert calls == {"encoder": 1, "generator": 1, "grad": 2}
+    assert calls == {"encoder": 1, "generator": 1, "encoder.backward": 1,
+                     "generator.backward": 1}
 
 
 # ---------------------------------------------------------------------------

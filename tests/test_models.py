@@ -45,11 +45,9 @@ def test_noise_spec():
 def test_generator_shapes_and_determinism():
     g = GeneratorModel(SMALL, np.random.default_rng(0))
     z = np.random.default_rng(1).standard_normal((5, 2))
-    with ad.no_record():
-        out1 = g(ad.tensor(z)).data
-        out2 = g(ad.tensor(z)).data
-        empty = g(ad.tensor(np.zeros((0, 2)))).data
-    assert out1.shape == (5, 4, 3)
+    (out1, tape), (out2, _) = g(z), g(z, keep=True)
+    empty, _ = g(np.zeros((0, 2)))
+    assert out1.shape == (5, 4, 3) and tape is None
     np.testing.assert_array_equal(out1, out2)
     assert empty.shape == (0, 4, 3)
 
@@ -57,20 +55,19 @@ def test_generator_shapes_and_determinism():
 def test_generator_shape_error():
     g = GeneratorModel(SMALL, np.random.default_rng(0))
     with pytest.raises(ShapeError):
-        g(ad.tensor(np.zeros((2, 3))))
+        g(np.zeros((2, 3)))
 
 
 def test_encoder_shapes_and_determinism():
     e = EncoderModel(SMALL, np.random.default_rng(0))
     x = np.random.default_rng(1).standard_normal((5, 4, 3))
-    with ad.no_record():
-        f1, f2 = e(ad.tensor(x)).data, e(ad.tensor(x)).data
-        empty = e(ad.tensor(np.zeros((0, 4, 3)))).data
-    assert f1.shape == (5, 2)
+    (f1, tape), (f2, _) = e(x), e(x, keep=True)
+    empty, _ = e(np.zeros((0, 4, 3)))
+    assert f1.shape == (5, 2) and tape is None
     np.testing.assert_array_equal(f1, f2)
     assert empty.shape == (0, 2)
     with pytest.raises(ShapeError):
-        e(ad.tensor(np.zeros((2, 3, 3))))
+        e(np.zeros((2, 3, 3)))
 
 
 def test_critic_zero_init_heads():
@@ -89,7 +86,7 @@ def test_critic_zero_init_heads():
 def test_raw_output_is_presigmoid():
     d = CriticModel(SMALL, np.random.default_rng(3), OBJECTIVES["bigan"])
     u = np.random.default_rng(4).standard_normal((2, SMALL.pair_dim))
-    raw = d.raw_output(ad.tensor(u)).data
+    raw = d.raw_output(u)
     prob = d(ad.tensor(u)).data
     np.testing.assert_allclose(1 / (1 + np.exp(-raw)), prob, rtol=1e-12)
 

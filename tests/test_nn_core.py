@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedbiwgan import autodiff as ad
+from fedbiwgan.models import EncoderModel, GeneratorModel, ModelConfig
 from fedbiwgan.nn import (
     AdamConfig,
     AdamState,
@@ -77,8 +78,8 @@ def _zero_cell(in_dim=1, hidden=1):
 
 def test_vlstm_zero_state_stays_zero():
     cell = _zero_cell()
-    h = cell.sequence(ad.tensor(np.zeros((3, 1, 1))))
-    np.testing.assert_array_equal(h.data, np.zeros((3, 1, 1)))
+    h, _ = cell(np.zeros((3, 1, 1)))
+    np.testing.assert_array_equal(h, np.zeros((3, 1, 1)))
 
 
 def test_vlstm_zero_params_carry_half_cell():
@@ -88,7 +89,7 @@ def test_vlstm_zero_params_carry_half_cell():
     cell = _zero_cell()
     cell.w_i.data[0, 0] = 100.0
     cell.w_z.data[0, 0] = 100.0
-    h = cell.sequence(ad.tensor([[[1.0]], [[0.0]]])).data
+    h, _ = cell(np.array([[[1.0]], [[0.0]]]))
     np.testing.assert_allclose(h[0], [[0.5 * np.tanh(1.0)]])
     np.testing.assert_allclose(h[1], [[0.5 * np.tanh(0.5)]])
     assert abs(h[1, 0, 0] - 0.2311) < 5e-5
@@ -101,7 +102,7 @@ def test_vlstm_saturated_gates_pass_cell_through():
     for key in ("b_i", "b_f", "b_o"):
         cell.params()[f"vlstm/{key}"].data[...] = 100.0
     cell.w_z.data[0, 0] = 1.0
-    h = cell.sequence(ad.tensor([[[np.arctanh(0.7)]], [[0.0]]])).data
+    h, _ = cell(np.array([[[np.arctanh(0.7)]], [[0.0]]]))
     np.testing.assert_allclose(h[1], [[np.tanh(0.7)]], atol=1e-6)
     np.testing.assert_allclose(h[0], [[np.tanh(0.7)]], atol=1e-6)
 
@@ -109,14 +110,14 @@ def test_vlstm_saturated_gates_pass_cell_through():
 def test_vlstm_shape_errors():
     cell = VlstmCell(2, 3)
     with pytest.raises(ShapeError):
-        cell.sequence(ad.tensor(np.ones((4, 1, 5))))
+        cell(np.ones((4, 1, 5)))
     with pytest.raises(ShapeError):
-        cell.sequence(ad.tensor(np.ones((1, 5))), steps=4)
+        cell(np.ones((1, 5)), steps=4)
     # a sequence needs [T, batch, in]; a repeated input needs [batch, in]
     with pytest.raises(ShapeError):
-        cell.sequence(ad.tensor(np.ones((1, 2))))
+        cell(np.ones((1, 2)))
     with pytest.raises(ShapeError):
-        cell.sequence(ad.tensor(np.ones((4, 1, 2))), steps=4)
+        cell(np.ones((4, 1, 2)), steps=4)
 
 
 def _reference_sequence(cell, x, steps):
@@ -141,45 +142,105 @@ def _reference_sequence(cell, x, steps):
     return ad.concat(hs, axis=0)
 
 
+def _relative_error(got, want):
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+
+
+def _random_biases(model, rng):
+    for p in model.params().values():
+        if p.data.ndim == 1:
+            p.data[...] = rng.uniform(-0.5, 0.5, p.data.shape)
+
+
 @settings(max_examples=40, deadline=None)
 @given(batch=st.integers(1, 64), steps=st.integers(1, 8), repeated=st.booleans(),
        in_dim=st.integers(1, 5), hidden=st.integers(1, 5), seed=st.integers(0, 2**16))
 def test_vlstm_sequence_matches_step_loop(batch, steps, repeated, in_dim, hidden, seed):
-    # forward bitwise equal to the per-step loop; parameter and input
-    # gradients of the BPTT backward within 1e-12 relative
+    # forward bitwise equal to the per-step loop, kept for the backward or
+    # not; parameter and input gradients of the BPTT backward within 1e-12
+    # relative
     rng = np.random.default_rng(seed)
     cell = VlstmCell(in_dim, hidden, rng)
-    for p in (cell.b_i, cell.b_f, cell.b_z, cell.b_o):
-        p.data[...] = rng.uniform(-0.5, 0.5, p.data.shape)
+    _random_biases(cell, rng)
     x = ad.tensor(rng.standard_normal((batch, in_dim) if repeated else (steps, batch, in_dim)),
                   requires_grad=True)
-    out = cell.sequence(x, steps=steps if repeated else None)
+    out, tape = cell(x.data, steps=steps if repeated else None, keep=True)
     ref = _reference_sequence(cell, x, steps)
-    np.testing.assert_array_equal(out.data, ref.data)
-    with ad.no_record():
-        np.testing.assert_array_equal(cell.sequence(x, steps if repeated else None).data,
-                                      out.data)
-    cot = rng.standard_normal(out.data.shape)
-    wrt = [*cell.params().values(), x]
-    for got, want in zip(ad.grad(out, wrt, out_grad=cot), ad.grad(ref, wrt, out_grad=cot)):
-        scale = max(np.max(np.abs(want.data)), 1e-300)
-        assert np.max(np.abs(got.data - want.data)) <= 1e-12 * scale
-
-
-def test_vlstm_sequence_refuses_second_derivative():
-    cell = VlstmCell(2, 3, np.random.default_rng(0))
-    x = ad.tensor(np.ones((2, 1, 2)), requires_grad=True)
-    out = ad.tsum(cell.sequence(x))
-    with pytest.raises(RuntimeError, match="differentiated twice"):
-        ad.grad(out, [x], create_graph=True)
+    np.testing.assert_array_equal(out, ref.data)
+    np.testing.assert_array_equal(cell(x.data, steps if repeated else None)[0], out)
+    cot = rng.standard_normal(out.shape)
+    grads = {}
+    dx = cell.backward(tape, cot, grads)
+    params = cell.params()
+    assert list(grads) == list(params)
+    want = ad.grad(ref, [*params.values(), x], out_grad=cot)
+    for got, w in zip([*grads.values(), dx], want):
+        assert _relative_error(got, w.data) <= 1e-12
 
 
 def test_vlstm_sequence_records_nothing_forward_only():
+    # a forward without keep returns no tape and the kept forward's states
     cell = VlstmCell(2, 3, np.random.default_rng(0))
-    with ad.no_record():
-        out = cell.sequence(ad.tensor(np.ones((1, 2))), steps=4)
-    assert out.data.shape == (4, 1, 3)
-    assert out.parents == () and out.bwd is None and not out.requires_grad
+    x = np.random.default_rng(1).standard_normal((2, 2))
+    out, tape = cell(x, steps=4)
+    assert out.shape == (4, 2, 3) and tape is None
+    np.testing.assert_array_equal(out, cell(x, steps=4, keep=True)[0])
+
+
+def _step(x, t, axis=0):
+    """Step t of a Tensor sequence along axis, with that axis dropped."""
+    shape = x.data.shape
+    return ad.reshape(ad.narrow(x, axis, t, 1), shape[:axis] + shape[axis + 1:])
+
+
+def _reference_generator(g, z):
+    """The generator in engine ops: the cells unrolled step by step, and
+    the head applied per step to batch-major [batch, window, features]."""
+    window, batch = g.cfg.window, z.data.shape[0]
+    h = _reference_sequence(g.lstm2, _reference_sequence(g.lstm1, z, window), window)
+    return ad.concat([ad.reshape(g.head(_step(h, t)), (batch, 1, g.cfg.features))
+                      for t in range(window)], axis=1)
+
+
+def _reference_encoder(e, x):
+    """The encoder in engine ops: the head per step of the batch-major
+    windows, the cells unrolled step by step, and the last hidden state."""
+    window, batch = e.cfg.window, x.data.shape[0]
+    steps = ad.concat([ad.reshape(e.head(_step(x, t, axis=1)), (1, batch, -1))
+                       for t in range(window)], axis=0)
+    h = _reference_sequence(e.lstm2, _reference_sequence(e.lstm1, steps, window), window)
+    return _step(h, window - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(batch=st.integers(1, 40), window=st.integers(1, 5), features=st.integers(1, 4),
+       latent=st.integers(1, 4), hidden=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+       seed=st.integers(0, 2**16))
+def test_generator_and_encoder_backward_match_engine_reference(batch, window, features,
+                                                               latent, hidden, seed):
+    # forward bitwise equal to the engine's step-by-step reference, kept
+    # for the backward or not; every parameter gradient within 1e-12
+    # relative of the reference's, through the heads, the swaps to and
+    # from time-major and the encoder's last-step slice
+    rng = np.random.default_rng(seed)
+    cfg = ModelConfig(features=features, window=window, latent_dim=latent, gen_hidden=hidden)
+    for model, x, reference in (
+        (GeneratorModel(cfg, rng), rng.standard_normal((batch, latent)), _reference_generator),
+        (EncoderModel(cfg, rng), rng.standard_normal((batch, window, features)),
+         _reference_encoder),
+    ):
+        _random_biases(model, rng)
+        out, tape = model(x, keep=True)
+        ref = reference(model, ad.tensor(x))
+        np.testing.assert_array_equal(out, ref.data)
+        np.testing.assert_array_equal(model(x)[0], out)
+        cot = rng.standard_normal(out.shape)
+        grads = {}
+        model.backward(tape, cot, grads)
+        params = model.params()
+        assert grads.keys() == params.keys()
+        for key, want in zip(params, ad.grad(ref, list(params.values()), out_grad=cot)):
+            assert _relative_error(grads[key], want.data) <= 1e-12, key
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +278,9 @@ def test_stacked_recurrent_head_shape():
     c2 = VlstmCell(5, 3, rng, name="b")
     head = Dense(3, 2, "linear", rng)
     x = rng.standard_normal((6, 4))
-    h2 = c2.sequence(c1.sequence(ad.tensor(x), steps=3))
-    assert h2.data.shape == (3, 6, 3)
-    assert head(h2).data.shape == (3, 6, 2)
+    h2, _ = c2(c1(x, steps=3)[0])
+    assert h2.shape == (3, 6, 3)
+    assert head.forward(h2).shape == (3, 6, 2)
 
 
 def test_backward_linear_outer_product():

@@ -7,8 +7,18 @@ import pytest
 
 from fedbiwgan import autodiff as ad
 from fedbiwgan.detection import score_windows
-from fedbiwgan.federation import ManagerNode, TopologySpec, TrainingConfig, run_training
-from fedbiwgan.models import OBJECTIVES, WEIGHT_CLIP, CriticModel, ModelConfig
+from fedbiwgan.federation import (
+    CriticBank,
+    ManagerNode,
+    MonitorNode,
+    TopologySpec,
+    TrainingConfig,
+    manager_generate,
+    manager_update,
+    monitor_round,
+    run_training,
+)
+from fedbiwgan.models import OBJECTIVES, WEIGHT_CLIP, ModelConfig
 
 TINY = ModelConfig(features=3, window=3, latent_dim=2,
                    gen_hidden=(3, 3), critic_hidden=(4, 3))
@@ -76,18 +86,38 @@ def test_heads_and_scores(variant, head, paired):
     assert all(np.isfinite(s.score) for s in scored)
 
 
-def test_window_only_scoring_records_no_graph(monkeypatch):
-    g, e, d = _run("gan").bundle_for(0, 0)
-    raw_output = CriticModel.raw_output
-    recording = []
+@pytest.mark.parametrize("variant", ["gan", "biwgan_gp"])
+def test_training_and_scoring_build_no_graph(monkeypatch, variant):
+    # one federated iteration and one scoring call, window-only and joint,
+    # construct no Tensor and take no engine gradient
+    objective = OBJECTIVES[variant]
+    cfg = TrainingConfig(mode="federated", critic_iters=2, batch_size=4)
+    manager = ManagerNode(0, TINY, cfg, SEED, objective)
+    monitors = [MonitorNode(0, n, WINDOWS, TINY, cfg, SEED, objective) for n in range(2)]
+    bank = CriticBank(monitors)
+    batches = {mon.monitor_id: mon.sample_batch() for mon in monitors}
+    calls = {"Tensor": 0, "grad": 0}
+    init, grad = ad.Tensor.__init__, ad.grad
 
-    def spy(self, u):
-        recording.append(ad._record)
-        return raw_output(self, u)
+    def counted_init(self, *args, **kwargs):
+        calls["Tensor"] += 1
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(CriticModel, "raw_output", spy)
-    score_windows(WINDOWS[:6], g, e, d, 0.9)
-    assert recording == [False]
+    def counted_grad(*args, **kwargs):
+        calls["grad"] += 1
+        return grad(*args, **kwargs)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counted_init)
+    monkeypatch.setattr(ad, "grad", counted_grad)
+    packets = manager_generate(manager, batches, 1)
+    feedbacks, *_ = monitor_round(bank, batches, packets, cfg.critic_iters, cfg.eta)
+    manager_update(manager, feedbacks, 1)
+    assert calls == {"Tensor": 0, "grad": 0}
+    encoder = manager.encoder if objective.joint else None
+    score_windows(WINDOWS, manager.generator, encoder, monitors[0].critic, 0.9)
+    assert calls == {"Tensor": 0, "grad": 0}
+    ad.tensor([1.0])  # the spy sees a construction
+    assert calls == {"Tensor": 1, "grad": 0}
 
 
 def test_unknown_objective_lists_valid_names():
