@@ -87,6 +87,15 @@ def test_norm_zero_row_has_zero_grad():
         np.testing.assert_allclose(2 * g, grads_alone[key], rtol=1e-12, atol=1e-15)
 
 
+def test_second_derivative_needs_create_graph():
+    # the engine is first order: a gradient is a constant tensor, so
+    # differentiating it again is refused, not answered with zeros
+    x = ad.tensor([2.0], requires_grad=True)
+    g1 = ad.grad(ad.tsum(ad.mul(ad.mul(x, x), x)), [x])[0]
+    with pytest.raises(ValueError, match="does not require grad"):
+        ad.grad(ad.tsum(g1), [x])
+
+
 def test_first_order_gradient_holds_no_graph():
     x = ad.tensor([1.0, 2.0], requires_grad=True)
     g = ad.grad(ad.tsum(ad.tanh(ad.mul(x, x))), [x])[0]

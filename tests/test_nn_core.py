@@ -13,6 +13,7 @@ from fedbiwgan.nn import (
     ShapeError,
     VlstmCell,
     adam_step,
+    as_node,
     finite_difference_gradient,
     gradient_penalty_backward,
 )
@@ -176,6 +177,16 @@ def test_vlstm_sequence_matches_step_loop(batch, steps, repeated, in_dim, hidden
     want = ad.grad(ref, [*params.values(), x], out_grad=cot)
     for got, w in zip([*grads.values(), dx], want):
         assert _relative_error(got, w.data) <= 1e-12
+
+
+def test_vlstm_sequence_refuses_second_derivative():
+    # the cell's node returns its gradient as a constant: a second
+    # derivative through it is refused, not answered with zeros
+    cell = VlstmCell(2, 3, np.random.default_rng(0))
+    x = ad.tensor(np.ones((2, 1, 2)), requires_grad=True)
+    g = ad.grad(ad.tsum(as_node(cell, x)), [x])[0]
+    with pytest.raises(ValueError, match="does not require grad"):
+        ad.grad(ad.tsum(g), [x])
 
 
 def test_vlstm_sequence_records_nothing_forward_only():

@@ -18,7 +18,7 @@ from fedbiwgan.federation import (
     monitor_round,
     run_training,
 )
-from fedbiwgan.models import OBJECTIVES, WEIGHT_CLIP, ModelConfig
+from fedbiwgan.models import OBJECTIVES, WEIGHT_CLIP, CriticModel, ModelConfig
 
 TINY = ModelConfig(features=3, window=3, latent_dim=2,
                    gen_hidden=(3, 3), critic_hidden=(4, 3))
@@ -84,6 +84,27 @@ def test_heads_and_scores(variant, head, paired):
     scored = score_windows(WINDOWS[:6], g, e, d, 0.9)
     assert len(scored) == 6
     assert all(np.isfinite(s.score) for s in scored)
+
+
+def test_window_only_scoring_records_no_graph(monkeypatch):
+    # a trained window-only bundle scores on arrays: the critic sees one
+    # plain array and no Tensor is constructed
+    g, e, d = _run("gan").bundle_for(0, 0)
+    raw_output, init = CriticModel.raw_output, ad.Tensor.__init__
+    inputs, built = [], []
+
+    def spy(self, u):
+        inputs.append(type(u))
+        return raw_output(self, u)
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CriticModel, "raw_output", spy)
+    monkeypatch.setattr(ad.Tensor, "__init__", counted_init)
+    score_windows(WINDOWS[:6], g, e, d, 0.9)
+    assert inputs == [np.ndarray] and built == []
 
 
 @pytest.mark.parametrize("variant", ["gan", "biwgan_gp"])
