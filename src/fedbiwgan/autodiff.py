@@ -1,17 +1,18 @@
 """First-order reverse-mode automatic differentiation over dense float64
-arrays: the independent reference that gradcheck and the acceptance gate
-differentiate through.
+arrays: the independent reference that the tests differentiate through.
 
 Every value is a `Tensor` wrapping a row-major numpy array. Operations on
 tensors that require grad record their parents and a backward closure
 that maps the output's cotangent array to one array per parent, in plain
-numpy. Training and scoring never build a graph: the critic's step is
-closed-form numpy over its layers (`nn.FeedForward`,
-`nn.gradient_penalty`), and the VLSTM cell, generator and encoder have
-their own numpy forward and backward, which `nn.as_node` wraps as one
-node for the engine. Code run under `no_record()` records nothing. No
-node reaches itself, so a graph is freed by reference count as soon as
-it is unreachable.
+numpy. No other module of the package imports the engine: parameters are
+plain arrays, training and scoring run the layers' own numpy forward and
+backward, and gradcheck checks those against central differences. The
+tests rebuild the dense layers, stacks and models as engine graphs over
+the parameter arrays (`tests/graph_reference.py`). The module stays in
+the package only because the benchmark harness imports it and patches
+`Tensor.__init__` and `grad`. Code run under `no_record()` records
+nothing. No node reaches itself, so a graph is freed by reference count
+as soon as it is unreachable.
 """
 
 from __future__ import annotations

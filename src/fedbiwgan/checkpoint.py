@@ -76,7 +76,7 @@ def save_models(path, model_cfg, models: dict, extra_meta=None):
     tensors = {}
     for prefix, model in models.items():
         for name, p in model.params().items():
-            tensors[f"{prefix}:{name}"] = p.data
+            tensors[f"{prefix}:{name}"] = p
     meta = {"model_config": dataclasses.asdict(model_cfg), "models": sorted(models)}
     meta.update(extra_meta or {})
     save_container(path, meta, tensors)
@@ -108,8 +108,8 @@ def load_models(path, builders):
             key = f"{prefix}:{name}"
             if key not in tensors:
                 raise CheckpointError(f"{path}: missing tensor {key}")
-            if tensors[key].shape != p.data.shape:
+            if tensors[key].shape != p.shape:
                 raise CheckpointError(f"{path}: shape mismatch for {key}")
-            p.data[...] = tensors[key]
+            p[...] = tensors[key]
         models[prefix] = model
     return metadata, cfg, models

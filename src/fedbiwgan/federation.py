@@ -219,7 +219,7 @@ class CriticBank:
     """The critics of one manager's monitors stacked into one CriticModel
     with [N, out, in] weights and [N, 1, out] biases, stepped by one Adam
     state. Each monitor's critic parameters become [n] views of the stacked
-    leaves, so the monitors keep their own parameters (and checkpoints)
+    arrays, so the monitors keep their own parameters (and checkpoints)
     while one closed-form critic step serves all N of them."""
 
     def __init__(self, monitors):
@@ -229,11 +229,11 @@ class CriticBank:
         self.cfg = first.cfg
         self.critic = copy.deepcopy(first.critic)
         members = [mon.critic.params() for mon in self.monitors]
-        for name, p in self.critic.params().items():
-            stacked = np.stack([params[name].data for params in members])
-            p.data = stacked if stacked.ndim == 3 else stacked[:, None, :]
-            for n, params in enumerate(members):
-                params[name].data = p.data[n].reshape(params[name].data.shape)
+        bank = {k: np.stack([params[k].reshape(-1, p.shape[-1]) for params in members])
+                for k, p in members[0].items()}
+        self.critic.net.set_params(bank)
+        for n, (mon, params) in enumerate(zip(self.monitors, members)):
+            mon.critic.net.set_params({k: bank[k][n].reshape(p.shape) for k, p in params.items()})
         self.adam = AdamState.for_params(self.critic.params())
 
 
@@ -268,8 +268,8 @@ def monitor_round(bank: CriticBank, batches: dict, packets: dict, critic_iters, 
         adam_step(params, last.param_grads, bank.adam, bank.cfg.adam)
         if objective.lipschitz == "clip":
             for p in params.values():
-                np.clip(p.data, -WEIGHT_CLIP, WEIGHT_CLIP, out=p.data)
-        _require_finite_members([p.data for p in params.values()], monitors,
+                np.clip(p, -WEIGHT_CLIP, WEIGHT_CLIP, out=p)
+        _require_finite_members(params.values(), monitors,
                                 "critic parameters", iteration)
     eg = eg_local_loss(bank.critic, real, fake, objective)
     f_e, f_g = error_feedbacks(bank.critic, real, fake, objective)
@@ -372,7 +372,7 @@ def assemble_manager_gradients(manager: ManagerNode, feedbacks: list[FeedbackPac
     if enc_tape is None:
         # the encoder did not run (window-only objective): its feedback
         # columns are zero, and so is its gradient
-        e_grads = {k: np.zeros_like(p.data) for k, p in manager.encoder.params().items()}
+        e_grads = {k: np.zeros_like(p) for k, p in manager.encoder.params().items()}
     else:
         manager.encoder.backward(enc_tape, cot_f, e_grads)
     return g_grads, e_grads
@@ -420,13 +420,13 @@ def apply_global(manager: ManagerNode, global_gen: dict, global_enc: dict):
     are retained so the next local step continues from the averaged
     parameters with the accumulated optimizer state."""
     for k, p in manager.generator.params().items():
-        if global_gen[k].shape != p.data.shape:
+        if global_gen[k].shape != p.shape:
             raise ProtocolError(f"global/generator shape mismatch at {k}")
-        p.data[...] = global_gen[k]
+        p[...] = global_gen[k]
     for k, p in manager.encoder.params().items():
-        if global_enc[k].shape != p.data.shape:
+        if global_enc[k].shape != p.shape:
             raise ProtocolError(f"global/encoder shape mismatch at {k}")
-        p.data[...] = global_enc[k]
+        p[...] = global_enc[k]
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +559,8 @@ def _federated_average(groups, bus, iteration):
     uploads = [
         split(bus.send(
             wire.Message(wire.MSG_PARAMS_UP, manager.slice_id, -1, iteration,
-                         [manager.generator.params()[k].data for k in gen_keys]
-                         + [manager.encoder.params()[k].data for k in enc_keys]),
+                         [manager.generator.params()[k] for k in gen_keys]
+                         + [manager.encoder.params()[k] for k in enc_keys]),
             link=f"manager[{manager.slice_id}]->controller",
         ).tensors)
         for manager in managers
@@ -614,8 +614,8 @@ def run_training(topology: TopologySpec, cfg: TrainingConfig, model_cfg: ModelCo
     some_manager = next(iter(result.managers.values()))
     some_monitor = next(iter(result.monitors.values()))
     ledger.param_counts = {
-        "generator": sum(p.data.size for p in some_manager.generator.params().values()),
-        "encoder": sum(p.data.size for p in some_manager.encoder.params().values()),
-        "critic": sum(p.data.size for p in some_monitor.critic.params().values()),
+        "generator": sum(p.size for p in some_manager.generator.params().values()),
+        "encoder": sum(p.size for p in some_manager.encoder.params().values()),
+        "critic": sum(p.size for p in some_monitor.critic.params().values()),
     }
     return result

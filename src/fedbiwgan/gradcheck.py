@@ -1,11 +1,12 @@
-"""Finite-difference verification of the reverse-mode gradients and of
-the critic's closed-form ones.
+"""Finite-difference verification of the numpy gradients that training
+runs.
 
-Each check builds a small network, computes parameter gradients through
-the first-order engine (a VLSTM cell, generator or encoder as one node
-whose backward is its own numpy backward) or the critic's closed form,
-recomputes them by central differences, and reports the worst relative
-error max(|a - b|) / max(1, |a|, |b|) over all coordinates.
+Each check builds a small network, computes parameter gradients with the
+network's own numpy backward (a FeedForward's `backward`, σ′ into each
+dense layer's `add_grads`; the BPTT `backward` of a VLSTM cell, generator
+or encoder) or the critic's closed form, recomputes them by central
+differences of the numpy forward, and reports the worst relative error
+max(|a - b|) / max(1, |a|, |b|) over all coordinates.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import autodiff as ad
 from .models import (
     BIWGAN_GP,
     OBJECTIVES,
@@ -27,7 +27,7 @@ from .models import (
     error_feedbacks,
     pair_rows,
 )
-from .nn import Dense, FeedForward, VlstmCell, as_node, finite_difference_gradient
+from .nn import FeedForward, VlstmCell, finite_difference_gradient
 
 
 def _rel_err(a, b):
@@ -38,40 +38,42 @@ def _rel_err(a, b):
 
 
 def _compare(analytic: dict, numeric: dict):
-    return max(_rel_err(analytic[k], numeric[k]) for k in analytic)
+    return max(_rel_err(analytic[k], numeric[k]) for k in numeric)
 
 
 def _at(params, probe, fn):
-    """fn() evaluated with the parameters' values swapped for probe's."""
-    saved = {k: p.data for k, p in params.items()}
-    for k, p in params.items():
-        p.data = probe[k]
+    """fn() evaluated with probe's values copied into the parameters in
+    place, and the old values copied back after."""
+    saved = {k: p.copy() for k, p in params.items() if probe[k] is not p}
+    for k in saved:
+        params[k][...] = probe[k]
     try:
         return fn()
     finally:
-        for k, p in params.items():
-            p.data = saved[k]
+        for k, value in saved.items():
+            params[k][...] = value
 
 
-def _check_net(net, x, loss_of_out, h=1e-5, input_grad=False):
-    """Compare graph gradients of loss_of_out(net(x)) against central
-    differences over every parameter, and over x with input_grad."""
-    params = net.params()
-    names = list(params)
-    x_leaf = ad.tensor(x, requires_grad=input_grad)
-    grads = ad.grad(loss_of_out(net(x_leaf)),
-                    [params[k] for k in names] + ([x_leaf] if input_grad else []))
-    analytic = {k: g.data for k, g in zip(names, grads)}
+def _check_net(params, forward, backward, x, loss, h=1e-5, input_grad=False):
+    """Compare the numpy backward's gradients of loss(forward(x)) against
+    central differences of the numpy forward over every parameter, and
+    over x with input_grad. forward(x) returns the output and backward's
+    tape; backward(tape, cotangent, grads) writes the parameter gradients
+    into grads and returns x's cotangent."""
+    out, tape = forward(x)
+    analytic = {}
+    # row-major, as the engine's cotangents are and training's feedbacks:
+    # the generator head's bias gradient sums it in memory order
+    dx = backward(tape, np.ascontiguousarray(loss(out)[1]), analytic)
 
     def value(inputs):
-        with ad.no_record():
-            return float(loss_of_out(net(ad.tensor(inputs))).data)
+        return loss(forward(inputs)[0])[0]
 
     numeric = finite_difference_gradient(
         lambda probe: _at(params, probe, lambda: value(x)), params, h,
     )
     if input_grad:
-        analytic["input"] = grads[-1].data
+        analytic["input"] = dx
         numeric.update(finite_difference_gradient(lambda probe: value(probe["input"]),
                                                   {"input": x}, h))
     return _compare(analytic, numeric)
@@ -107,29 +109,35 @@ def _random_rows(rng, m):
     return pair_rows(rng.standard_normal((m, 2, 2)), rng.standard_normal((m, 2)))
 
 
-class _Node:
-    """A VLSTM cell, generator or encoder checked like a network, as one
-    graph node (nn.as_node); keyword arguments go to its forward, e.g. a
-    cell's `steps`."""
+def _stack(net: FeedForward):
+    """A FeedForward's parameters, forward and backward; on one layer, the
+    backward is the cotangent through σ′ into Dense.add_grads."""
+    def forward(x):
+        outs = net.forward(x)
+        return outs[-1], outs
 
-    def __init__(self, model, **kwargs):
-        self.model = model
-        self.kwargs = kwargs
+    return net.params(), forward, net.backward
 
-    def __call__(self, x):
-        return as_node(self.model, x, **self.kwargs)
 
-    def params(self):
-        return self.model.params()
+def _model(model, **kwargs):
+    """A VLSTM cell's, generator's or encoder's parameters, forward and
+    BPTT backward; keyword arguments go to its forward, e.g. a cell's
+    `steps`."""
+    return model.params(), lambda x: model(x, keep=True, **kwargs), model.backward
 
 
 def _quad_loss(out):
-    return ad.tmean(ad.mul(out, out))
+    """mean(out * out) summed and scaled as the engine's tmean, and its
+    cotangent at out in the engine's order, (1/n)*out + (1/n)*out, which
+    is out*(2/n) bit for bit."""
+    return (out * out).sum() * (1.0 / out.size), out * (2.0 / out.size)
 
 
 def _abs_like_loss(out):
-    # smooth stand-in for L1 shapes: mean(tanh(out) * out)
-    return ad.tmean(ad.mul(ad.tanh(out), out))
+    """Smooth stand-in for L1 shapes, mean(tanh(out) * out), and its
+    cotangent at out in the engine's order."""
+    t, s = np.tanh(out), 1.0 / out.size
+    return (t * out).sum() * s, t * s + (out * s) * (1.0 - t * t)
 
 
 def run_gradcheck(seed=0, verbose=False):
@@ -142,12 +150,12 @@ def run_gradcheck(seed=0, verbose=False):
         if verbose:
             print(f"{name}: {err:.3e}")
 
-    # dense layers across activations and shapes
+    # dense layers across activations and shapes, each a one-layer stack
     for act in ("linear", "sigmoid", "tanh"):
         for in_dim, out_dim, batch in ((3, 2, 4), (5, 5, 1), (4, 3, 2)):
-            layer = Dense(in_dim, out_dim, act, rng, name=f"gc/{act}")
+            layer = FeedForward([in_dim, out_dim], [act], rng, name=f"gc/{act}")
             x = rng.standard_normal((batch, in_dim))
-            record(f"dense[{act},{in_dim}x{out_dim}]", _check_net(layer, x, _quad_loss))
+            record(f"dense[{act},{in_dim}x{out_dim}]", _check_net(*_stack(layer), x, _quad_loss))
 
     # feedforward stacks, including a sigmoid head
     for dims, acts in (
@@ -156,7 +164,7 @@ def run_gradcheck(seed=0, verbose=False):
     ):
         net = FeedForward(dims, acts, rng, name="gc/ff")
         x = rng.standard_normal((3, dims[0]))
-        record(f"ff{dims}", _check_net(net, x, _quad_loss))
+        record(f"ff{dims}", _check_net(*_stack(net), x, _quad_loss))
 
     # recurrent cells over several steps, one input fed at each (the
     # generator's noise); the loss reads every hidden state
@@ -164,24 +172,24 @@ def run_gradcheck(seed=0, verbose=False):
         cell = VlstmCell(in_dim, hidden, rng, name="gc/lstm")
         x = rng.standard_normal((2, in_dim))
         record(f"vlstm[{in_dim}->{hidden},T={steps}]",
-               _check_net(_Node(cell, steps=steps), x, _quad_loss))
+               _check_net(*_model(cell, steps=steps), x, _quad_loss))
 
     # full sequence models on a reduced architecture
     cfg = ModelConfig(features=3, window=3, latent_dim=2,
                       gen_hidden=(3, 3), critic_hidden=(4, 3))
     gen = GeneratorModel(cfg, rng)
     z = rng.standard_normal((2, cfg.latent_dim))
-    record("generator", _check_net(_Node(gen), z, _quad_loss))
-    record("generator/abs", _check_net(_Node(gen), z, _abs_like_loss))
+    record("generator", _check_net(*_model(gen), z, _quad_loss))
+    record("generator/abs", _check_net(*_model(gen), z, _abs_like_loss))
 
     enc = EncoderModel(cfg, rng)
     xw = rng.standard_normal((2, cfg.window, cfg.features))
-    record("encoder", _check_net(_Node(enc), xw, _quad_loss))
+    record("encoder", _check_net(*_model(enc), xw, _quad_loss))
 
     for head, objective in (("linear", BIWGAN_GP), ("sigmoid", OBJECTIVES["bigan"])):
         critic = CriticModel(cfg, rng, objective)
         u = rng.standard_normal((3, cfg.pair_dim))
-        record(f"critic[{head}]", _check_net(critic, u, _quad_loss))
+        record(f"critic[{head}]", _check_net(*_stack(critic.net), u, _quad_loss))
 
     # full critic objective with the gradient penalty (its closed form
     # reaches the parameters through second derivatives)
@@ -218,14 +226,15 @@ def run_gradcheck(seed=0, verbose=False):
         cell = VlstmCell(in_dim, hidden, rng, name="gc/lstm")
         xs = rng.standard_normal((steps, 2, in_dim))
         record(f"vlstm_seq[{in_dim}->{hidden},T={steps}]",
-               _check_net(_Node(cell), xs, _abs_like_loss, input_grad=True))
+               _check_net(*_model(cell), xs, _abs_like_loss, input_grad=True))
 
     # every objective on a bank of two stacked critics over [2, M, pair_dim]
     # rows, as federation.CriticBank steps them (drawn last as well)
     for name, objective in OBJECTIVES.items():
         bank, other = (CriticModel(dcfg, rng, objective) for _ in range(2))
-        for key, p in bank.params().items():
-            p.data = np.stack([p.data, other.params()[key].data]).reshape(2, -1, p.shape[-1])
+        members = other.params()
+        bank.net.set_params({k: np.stack([p, members[k]]).reshape(2, -1, p.shape[-1])
+                             for k, p in bank.params().items()})
         real, fake = (np.stack([_random_rows(rng, 3) for _ in range(2)]) for _ in range(2))
         eps = rng.uniform(0.0, 1.0, (2, 3))
         record(f"critic_loss[{name},N=2]",

@@ -2,6 +2,10 @@
 feedbacks, for BiWGAN-GP and the four GAN-family objectives it is compared
 against.
 
+Every model holds its parameters as plain float64 arrays, which
+`params()` returns by name, and runs a numpy forward and backward; the
+critic's losses and feedbacks are closed forms over its layers.
+
 The critic scores flattened joint pairs (`pair_rows`): the data window
 row-major first, then the latent vector. That flattening order is fixed;
 packets, feedbacks and checkpoints all rely on it.
@@ -13,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
 from .nn import Dense, FeedForward, ShapeError, VlstmCell, gradient_penalty
 
 
@@ -114,7 +117,7 @@ def get_objective(name) -> Objective:
 def _head_grads(head: Dense, grads, g, x):
     """A time-major dense head's parameter gradients from the cotangent g
     at its output over [T, batch, in] rows x. The bias sums g over time
-    and batch at once, the order of the graph's broadcast reduction;
+    and batch at once, the order of the engine's broadcast reduction;
     add_grads' two-stage sum would differ in the last bit."""
     head.add_grads(grads, g, x, bias=False)
     grads[f"{head.name}/bias"] = g.sum(axis=(0, 1))
@@ -150,7 +153,7 @@ class GeneratorModel:
         tape1, tape2, h2 = tape
         g = cot.swapaxes(0, 1)
         _head_grads(self.head, grads, g, h2)
-        g = self.lstm2.backward(tape2, g @ self.head.weights.data, grads)
+        g = self.lstm2.backward(tape2, g @ self.head.weights, grads)
         self.lstm1.backward(tape1, g, grads, input_grad=False)
 
     def params(self):
@@ -223,13 +226,6 @@ class CriticModel:
             [self.input_dim, c1, c2, 1], ["tanh", "tanh", head], rng, name=name
         )
 
-    def __call__(self, u: Tensor) -> Tensor:
-        if u.data.shape[-1] != self.input_dim:
-            raise ShapeError(
-                f"critic expects inner dimension {self.input_dim}, got {u.data.shape}"
-            )
-        return self.net(u)
-
     def raw_output(self, u):
         """The head's pre-activation [..., 1] on array rows u, whatever
         the head (used by Eq-28-style probability scoring)."""
@@ -237,7 +233,7 @@ class CriticModel:
         for layer in self.net.layers[:-1]:
             x = layer.forward(x)
         last = self.net.layers[-1]
-        return x @ last.weights.data.mT + last.bias.data
+        return x @ last.weights.mT + last.bias
 
     def params(self):
         return self.net.params()

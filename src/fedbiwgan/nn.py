@@ -1,16 +1,12 @@
 """Neural-network building blocks: dense layers, vanilla LSTM cells and
-feedforward stacks, each with a numpy forward and backward that training
-and scoring run; the closed-form gradient penalty, Adam, and a
+feedforward stacks, each with the numpy forward and backward that
+training and scoring run; the closed-form gradient penalty, Adam, and a
 finite-difference gradient oracle.
 
-`Dense` and `FeedForward` also build autodiff graphs when called on a
-Tensor, and `as_node` makes a cell's, generator's or encoder's numpy
-forward and backward one graph node: the first-order engine is the
-reference that gradcheck and the acceptance gate differentiate through.
-
-All parameters are float64 leaf tensors; weight init is uniform in
-[-1/sqrt(fan_in), +1/sqrt(fan_in)] from a caller-supplied RNG so runs are
-reproducible.
+Every parameter is a plain float64 array, and a layer's `params()` maps
+names to the live arrays: Adam, FedAVG and checkpoint loads write into
+them in place. Weight init is uniform in [-1/sqrt(fan_in),
++1/sqrt(fan_in)] from a caller-supplied RNG so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -19,24 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
-
 ACTIVATIONS = ("linear", "sigmoid", "tanh")
 
 
 class ShapeError(ValueError):
     """Raised when tensor dimensions do not match a layer's expectation."""
-
-
-def _activate(x, activation):
-    if activation == "linear":
-        return x
-    if activation == "sigmoid":
-        return ad.sigmoid(x)
-    if activation == "tanh":
-        return ad.tanh(x)
-    raise ValueError(f"unknown activation {activation!r}; expected one of {ACTIVATIONS}")
 
 
 def _slope(activation, a):
@@ -74,7 +57,7 @@ def _sigmoid(x):
 
 def _init_weight(rng, out_dim, in_dim):
     limit = 1.0 / np.sqrt(in_dim)
-    return ad.tensor(rng.uniform(-limit, limit, (out_dim, in_dim)), requires_grad=True)
+    return rng.uniform(-limit, limit, (out_dim, in_dim))
 
 
 class Dense:
@@ -91,20 +74,16 @@ class Dense:
         self.activation = activation
         self.name = name
         self.weights = _init_weight(rng, out_dim, in_dim)
-        self.bias = ad.tensor(np.zeros(out_dim), requires_grad=True)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.data.shape[-1] != self.in_dim:
-            raise ShapeError(
-                f"{self.name}: input has inner dimension {x.data.shape[-1]}, "
-                f"layer expects {self.in_dim} (weights {self.weights.data.shape})"
-            )
-        return _activate(ad.add(ad.matmul(x, ad.transpose(self.weights)), self.bias),
-                         self.activation)
+        self.bias = np.zeros(out_dim)
 
     def forward(self, x):
-        """__call__'s arithmetic on an array, with no graph."""
-        z = x @ self.weights.data.mT + self.bias.data
+        """act(x @ W.T + b) on [..., rows, in] rows x."""
+        if x.shape[-1] != self.in_dim:
+            raise ShapeError(
+                f"{self.name}: input has inner dimension {x.shape[-1]}, "
+                f"layer expects {self.in_dim} (weights {self.weights.shape})"
+            )
+        z = x @ self.weights.mT + self.bias
         if self.activation == "tanh":
             return np.tanh(z, out=z)
         return _sigmoid(z) if self.activation == "sigmoid" else z
@@ -114,9 +93,9 @@ class Dense:
         cotangent dz at x @ W.T + b: dz.T @ x for W and, with bias, dz
         summed over the rows for b."""
         w_key, b_key = self.params()
-        _accumulate(grads, w_key, dz.mT @ x, self.weights.data.ndim)
+        _accumulate(grads, w_key, dz.mT @ x, self.weights.ndim)
         if bias:
-            b = self.bias.data
+            b = self.bias
             _accumulate(grads, b_key, dz.sum(axis=-2, keepdims=b.ndim > 1), b.ndim)
 
     def params(self):
@@ -142,10 +121,10 @@ class VlstmCell:
         self.w_f = _init_weight(rng, hidden_dim, wide)
         self.w_z = _init_weight(rng, hidden_dim, slim)
         self.w_o = _init_weight(rng, hidden_dim, wide)
-        self.b_i = ad.tensor(np.zeros(hidden_dim), requires_grad=True)
-        self.b_f = ad.tensor(np.zeros(hidden_dim), requires_grad=True)
-        self.b_z = ad.tensor(np.zeros(hidden_dim), requires_grad=True)
-        self.b_o = ad.tensor(np.zeros(hidden_dim), requires_grad=True)
+        self.b_i = np.zeros(hidden_dim)
+        self.b_f = np.zeros(hidden_dim)
+        self.b_z = np.zeros(hidden_dim)
+        self.b_o = np.zeros(hidden_dim)
 
     def __call__(self, x, steps=None, keep=False):
         """Hidden states [T, batch, hidden] from zero state, over time-major
@@ -158,8 +137,8 @@ class VlstmCell:
                 f"{self.in_dim}] input, got {x.shape}"
             )
         n, hid = self.in_dim, self.hidden_dim
-        w_i, b_i, w_f, b_f, w_z, b_z, w_o, b_o = (p.data for p in (
-            self.w_i, self.b_i, self.w_f, self.b_f, self.w_z, self.b_z, self.w_o, self.b_o))
+        w_i, b_i, w_f, b_f, w_z, b_z, w_o, b_o = (
+            self.w_i, self.b_i, self.w_f, self.b_f, self.w_z, self.b_z, self.w_o, self.b_o)
         T = len(x) if steps is None else steps
         batch = x.shape[-2]
         # time-major caches for the backward; one reused step when forward only
@@ -201,7 +180,7 @@ class VlstmCell:
         a_in, a_out, gates, steps = tape
         n, hid = self.in_dim, self.hidden_dim
         T, batch = a_in.shape[:2]
-        w_i, w_f, w_z, w_o = (p.data for p in (self.w_i, self.w_f, self.w_z, self.w_o))
+        w_i, w_f, w_z, w_o = self.w_i, self.w_f, self.w_z, self.w_o
         gate_i, gate_f, cand, gate_o, tanh_c = gates
         # what dc gives the i, f, z pre-activations, and what dh gives
         # the o pre-activation and c, at every step at once
@@ -249,22 +228,6 @@ class VlstmCell:
         }
 
 
-def as_node(model, x: Tensor, **kwargs) -> Tensor:
-    """A VlstmCell, GeneratorModel or EncoderModel called on a Tensor as
-    one graph node: the model's numpy forward, whose backward is the
-    model's own. gradcheck and the tests differentiate these models
-    through the engine this way."""
-    params = model.params()
-    out, tape = model(x.data, keep=True, **kwargs)
-
-    def bwd(g):
-        grads = {}
-        dx = model.backward(tape, g, grads)
-        return (dx, *(grads[k] for k in params))
-
-    return Tensor(out, (x, *params.values()), bwd)
-
-
 class FeedForward:
     """A stack of dense layers; the critic architecture."""
 
@@ -278,17 +241,9 @@ class FeedForward:
             for i in range(len(activations))
         ]
 
-    def __call__(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
     def forward(self, x):
-        """Every layer's output on [..., rows, in] rows x, with no graph:
-        [x, a_1, ..., a_L]. A stack of N nets reads [..., N, rows, in]."""
-        if x.shape[-1] != self.layers[0].in_dim:
-            raise ShapeError(f"{self.name}: input has inner dimension {x.shape[-1]}, "
-                             f"expected {self.layers[0].in_dim}")
+        """Every layer's output on [..., rows, in] rows x: [x, a_1, ...,
+        a_L]. A stack of N nets reads [..., N, rows, in]."""
         outs = [x]
         for layer in self.layers:
             outs.append(layer.forward(outs[-1]))
@@ -312,7 +267,7 @@ class FeedForward:
                 layer.add_grads(grads, g, outs[l])
                 if l == 0:
                     return None
-            g = g @ layer.weights.data
+            g = g @ layer.weights
         return g
 
     def params(self):
@@ -320,6 +275,13 @@ class FeedForward:
         for layer in self.layers:
             out.update(layer.params())
         return out
+
+    def set_params(self, arrays):
+        """Rebind every layer's weights and bias to arrays, a mapping by
+        params()' names; stacking critics into a bank reshapes them."""
+        for layer in self.layers:
+            layer.weights = arrays[f"{layer.name}/weights"]
+            layer.bias = arrays[f"{layer.name}/bias"]
 
 
 def gradient_penalty(net, x_hat, eta, grads):
@@ -339,7 +301,7 @@ def gradient_penalty(net, x_hat, eta, grads):
     seeds, g = [None] * len(layers), np.ones(outs[-1].shape)
     for l in reversed(range(len(layers))):
         seeds[l] = g if slopes[l] is None else g * slopes[l]
-        g = seeds[l] @ layers[l].weights.data
+        g = seeds[l] @ layers[l].weights
     norm = np.sqrt((g * g).sum(axis=-1))
     gap, m = norm - 1.0, g.shape[-2]
     penalty = float(eta) * ((gap * gap).sum(axis=-1) * (1.0 / m))
@@ -348,22 +310,13 @@ def gradient_penalty(net, x_hat, eta, grads):
     pre = [None] * len(layers)  # what reaches each pre-activation through σ″
     for l, (layer, a, s) in enumerate(zip(layers, outs[1:], slopes)):
         layer.add_grads(grads, seeds[l], cot, bias=False)
-        cot = cot @ layer.weights.data.mT  # at seeds[l]
+        cot = cot @ layer.weights.mT  # at seeds[l]
         if s is not None:
             # σ″ is σ′ times -2a for tanh and 1 - 2a for sigmoid
             pre[l] = cot * seeds[l] * (-2.0 * a if layer.activation == "tanh" else 1.0 - 2.0 * a)
             cot = cot * s
     net.backward(outs, None, grads, pre)
     return penalty
-
-
-def gradient_penalty_backward(critic, x_hat, eta):
-    """The gradient penalty's value and its parameter gradients (zero for
-    a parameter the input gradient does not depend on)."""
-    grads = {}
-    penalty = gradient_penalty(critic, x_hat, eta, grads)
-    return float(penalty), {k: grads.get(k, np.zeros(p.data.shape))
-                            for k, p in critic.params().items()}
 
 
 # ---------------------------------------------------------------------------
@@ -395,14 +348,10 @@ class AdamState:
     @classmethod
     def for_params(cls, params):
         return cls(
-            first_moment={k: np.zeros_like(_data(v)) for k, v in params.items()},
-            second_moment={k: np.zeros_like(_data(v)) for k, v in params.items()},
+            first_moment={k: np.zeros_like(v) for k, v in params.items()},
+            second_moment={k: np.zeros_like(v) for k, v in params.items()},
             step_count=0,
         )
-
-
-def _data(p):
-    return p.data if isinstance(p, Tensor) else p
 
 
 def adam_step(params, grads, state: AdamState, cfg: AdamConfig):
@@ -414,9 +363,8 @@ def adam_step(params, grads, state: AdamState, cfg: AdamConfig):
     t = state.step_count
     for key, p in params.items():
         g = np.asarray(grads[key], dtype=np.float64)
-        arr = _data(p)
-        if g.shape != arr.shape:
-            raise ShapeError(f"grad shape {g.shape} != param shape {arr.shape} for {key}")
+        if g.shape != p.shape:
+            raise ShapeError(f"grad shape {g.shape} != param shape {p.shape} for {key}")
         m = state.first_moment[key]
         v = state.second_moment[key]
         m *= cfg.beta1
@@ -425,7 +373,7 @@ def adam_step(params, grads, state: AdamState, cfg: AdamConfig):
         v += (1 - cfg.beta2) * g * g
         m_hat = m / (1 - cfg.beta1 ** t)
         v_hat = v / (1 - cfg.beta2 ** t)
-        arr -= cfg.alpha * m_hat / np.sqrt(v_hat + cfg.epsilon)
+        p -= cfg.alpha * m_hat / np.sqrt(v_hat + cfg.epsilon)
     return params, state
 
 
@@ -443,7 +391,7 @@ def finite_difference_gradient(loss_fn, params, h=1e-5):
         raise ValueError("h must be positive")
     grads = {}
     for key, value in params.items():
-        arr = np.array(_data(value), dtype=np.float64)
+        arr = np.array(value, dtype=np.float64)
         g = np.zeros_like(arr)
         flat = arr.reshape(-1)
         gflat = g.reshape(-1)
@@ -460,7 +408,7 @@ def finite_difference_gradient(loss_fn, params, h=1e-5):
 
 
 def _eval_loss(loss_fn, params, key, perturbed):
-    probe = {k: (perturbed if k == key else _data(v)) for k, v in params.items()}
+    probe = {k: (perturbed if k == key else v) for k, v in params.items()}
     value = float(loss_fn(probe))
     if not np.isfinite(value):
         raise ValueError(f"loss is non-finite while perturbing {key}")

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from graph_reference import as_node, feedforward, gradient_penalty_backward, leaves
 
 from fedbiwgan import autodiff as ad
 from fedbiwgan.data import (
@@ -45,7 +46,7 @@ from fedbiwgan.federation import (
 from fedbiwgan.gradcheck import run_gradcheck
 from fedbiwgan.ledger import flop_estimates
 from fedbiwgan.models import OBJECTIVES, ModelConfig, critic_loss, error_feedbacks, pair_rows
-from fedbiwgan.nn import FeedForward, as_node, gradient_penalty_backward
+from fedbiwgan.nn import FeedForward
 from fedbiwgan.config import resolve_experiment
 
 
@@ -107,7 +108,7 @@ class _LinearRowCritic:
     def __init__(self, w):
         w = np.asarray(w, dtype=np.float64)
         self.net = FeedForward([w.shape[1], 1], ["linear"], name="d")
-        self.net.layers[0].weights.data[...] = w
+        self.net.layers[0].weights[...] = w
 
 
 def test_linear_critic_closed_forms(report):
@@ -138,21 +139,24 @@ def test_linear_critic_closed_forms(report):
 
 def _direct_eg_grads(manager, monitors, batches, packets):
     n = len(monitors)
+    gen, enc = leaves(manager.generator), leaves(manager.encoder)
     total = None
     for mon in monitors:
         x = batches[mon.monitor_id]
-        f_t = as_node(manager.encoder, ad.tensor(x))
+        f_t = as_node(manager.encoder, ad.tensor(x), enc)
         z = packets[mon.monitor_id].noise
-        xbar_t = as_node(manager.generator, ad.tensor(z))
+        xbar_t = as_node(manager.generator, ad.tensor(z), gen)
         m = x.shape[0]
         u_real = ad.concat([ad.tensor(x.reshape(m, -1)), f_t], axis=1)
         u_fake = ad.concat(
             [ad.reshape(xbar_t, (m, x.shape[1] * x.shape[2])), ad.tensor(z)], axis=1)
-        term = ad.tmean(ad.sub(mon.critic(u_real), mon.critic(u_fake)))
+        critic = leaves(mon.critic)
+        term = ad.tmean(ad.sub(feedforward(mon.critic.net, u_real, critic),
+                               feedforward(mon.critic.net, u_fake, critic)))
         total = term if total is None else ad.add(total, term)
     loss = ad.mul(total, ad.constant(1.0 / n))
-    params = {**{("g", k): p for k, p in manager.generator.params().items()},
-              **{("e", k): p for k, p in manager.encoder.params().items()}}
+    params = {**{("g", k): p for k, p in gen.items()},
+              **{("e", k): p for k, p in enc.items()}}
     names = list(params)
     grads = ad.grad(loss, [params[k] for k in names])
     return dict(zip(names, (g.data for g in grads)))
@@ -195,7 +199,7 @@ def test_single_node_mode_equivalence(report):
     diff = 0.0
     for f, a in zip(fed.bundle_for(0, 0), alone.bundle_for(0, 0)):
         for k, p in f.params().items():
-            diff = max(diff, float(np.max(np.abs(p.data - a.params()[k].data))))
+            diff = max(diff, float(np.max(np.abs(p - a.params()[k]))))
     report("mode equivalence (federated S=1,N=1,L=1 vs standalone)",
             diff <= 1e-10, f"max param divergence {diff:.3e} over 50 iterations")
 

@@ -162,10 +162,9 @@ def _batched_penalty(u, w):
     w^T)) over [N, M, D] rows, as a stack of N two-layer critics: the sum
     of the members' penalties, and the gradients of each member's."""
     net = FeedForward([w.shape[-1], w.shape[-2], 1], ["tanh", "linear"], name="d")
-    head = net.layers[1]
-    net.layers[0].weights.data = w
-    net.layers[0].bias.data = np.zeros((len(w), 1, w.shape[-2]))
-    head.weights.data, head.bias.data = np.ones((len(w), 1, w.shape[-2])), np.zeros((len(w), 1, 1))
+    net.set_params({"d/layer0/weights": w, "d/layer0/bias": np.zeros((len(w), 1, w.shape[-2])),
+                    "d/layer1/weights": np.ones((len(w), 1, w.shape[-2])),
+                    "d/layer1/bias": np.zeros((len(w), 1, 1))})
     grads = {}
     return float(np.sum(gradient_penalty(net, u, 1.0, grads))), grads
 

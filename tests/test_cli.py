@@ -229,7 +229,7 @@ def test_nonfinite_critic_exits_1(tmp_path, capsys, monkeypatch):
     def planted(self, *args, **kwargs):
         init(self, *args, **kwargs)
         if (self.slice_id, self.monitor_id) == (1, 1):
-            self.critic.params()["d/layer0/weights"].data[0, 0] = np.nan
+            self.critic.params()["d/layer0/weights"][0, 0] = np.nan
 
     monkeypatch.setattr(MonitorNode, "__init__", planted)
     cfg = tmp_path / "exp.yaml"

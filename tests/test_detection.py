@@ -179,7 +179,7 @@ def test_score_non_finite_model_output_named():
     # in one row past the first _BLOCK names that row
     x = np.random.default_rng(3).random((_BLOCK + 9, 2, 2))
     g, e, d = _models()
-    e.head.weights.data[0, 0] = np.nan
+    e.head.weights[0, 0] = np.nan
     with pytest.raises(DetectionError, match="window 0 scores non-finite"):
         score_windows(x, g, e, d, 0.9)
     recon = x.copy()

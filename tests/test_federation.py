@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from graph_reference import as_node, feedforward, leaves
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,6 @@ from fedbiwgan.federation import (
 )
 from fedbiwgan.ledger import CostLedger
 from fedbiwgan.models import OBJECTIVES, EncoderModel, GeneratorModel, ModelConfig
-from fedbiwgan.nn import as_node
 
 SMALL = ModelConfig(features=3, window=3, latent_dim=2,
                     gen_hidden=(3, 3), critic_hidden=(4, 3))
@@ -51,7 +51,7 @@ def _shards(topology, n_windows=30, seed=0):
 
 def _flat_params(*models):
     return np.concatenate([
-        p.data.ravel() for m in models for p in m.params().values()
+        p.ravel() for m in models for p in m.params().values()
     ])
 
 
@@ -121,11 +121,11 @@ def test_monitor_round_zero_critic_stays_zero():
     cfg = _cfg(critic_iters=1)
     monitor = _monitor(cfg=cfg)
     for p in monitor.critic.params().values():
-        p.data[...] = 0.0
+        p[...] = 0.0
     manager = ManagerNode(0, SMALL, cfg, 3)
     batches, packets = _packet_for(monitor, manager)
     _round(monitor, batches[0], packets[0], 1, cfg.eta)
-    assert all(np.all(p.data == 0) for p in monitor.critic.params().values())
+    assert all(np.all(p == 0) for p in monitor.critic.params().values())
 
 
 def test_feedbacks_antisymmetric_when_pairs_coincide():
@@ -197,13 +197,13 @@ def test_bank_round_equals_one_critic_rounds(n, m, k, name, seed):
         assert d_losses[i] == d_loss[0] and eg_losses[i] == eg[0]
         banked = monitors[i].critic.params()
         for key, p in mon.critic.params().items():
-            np.testing.assert_array_equal(banked[key].data, p.data)
+            np.testing.assert_array_equal(banked[key], p)
 
 
 def test_bank_names_the_monitor_with_a_nonfinite_critic():
     monitors, batches, packets, cfg = _bank_case(3, 4, OBJECTIVES["biwgan_gp"], 0)
     bank = CriticBank(monitors)
-    monitors[1].critic.params()["d/layer1/weights"].data[0, 0] = np.nan  # a view of the bank
+    monitors[1].critic.params()["d/layer1/weights"][0, 0] = np.nan  # a view of the bank
     with pytest.raises(NonFiniteError,
                        match=r"non-finite critic parameters at iteration 1 on monitor\[0\.1\]"):
         monitor_round(bank, batches, packets, 1, cfg.eta)
@@ -226,14 +226,14 @@ def test_bank_needs_equal_batch_rows():
 
 def test_monitor_critics_are_views_of_the_bank():
     monitors, *_ = _bank_case(2, 4, OBJECTIVES["biwgan_gp"], 0)
-    before = [{k: p.data.copy() for k, p in mon.critic.params().items()} for mon in monitors]
+    before = [{k: p.copy() for k, p in mon.critic.params().items()} for mon in monitors]
     bank = CriticBank(monitors)
     for key, p in bank.critic.params().items():
-        assert p.data.shape[0] == 2 and p.data.ndim == 3
+        assert p.shape[0] == 2 and p.ndim == 3
         for i, mon in enumerate(monitors):
-            member = mon.critic.params()[key].data
+            member = mon.critic.params()[key]
             np.testing.assert_array_equal(member, before[i][key])
-            assert np.shares_memory(member, p.data)
+            assert np.shares_memory(member, p)
 
 
 # ---------------------------------------------------------------------------
@@ -314,21 +314,22 @@ def test_manager_generate_rejects_empty():
 def _end_to_end_eg_grads(manager, monitors, batches, packets, iteration):
     """Reference gradients: full-graph backprop of (1/N) sum_n L_EG^n."""
     n = len(monitors)
+    g_params, e_params = leaves(manager.generator), leaves(manager.encoder)
     total = None
     for mon in monitors:
         x = batches[mon.monitor_id]
-        f_t = as_node(manager.encoder, ad.tensor(x))
+        f_t = as_node(manager.encoder, ad.tensor(x), e_params)
         z = packets[mon.monitor_id].noise
-        xbar_t = as_node(manager.generator, ad.tensor(z))
+        xbar_t = as_node(manager.generator, ad.tensor(z), g_params)
         m = x.shape[0]
         u_real = ad.concat([ad.tensor(x.reshape(m, -1)), f_t], axis=1)
         u_fake = ad.concat(
             [ad.reshape(xbar_t, (m, x.shape[1] * x.shape[2])), ad.tensor(z)], axis=1)
-        term = ad.tmean(ad.sub(mon.critic(u_real), mon.critic(u_fake)))
+        critic = leaves(mon.critic)
+        term = ad.tmean(ad.sub(feedforward(mon.critic.net, u_real, critic),
+                               feedforward(mon.critic.net, u_fake, critic)))
         total = term if total is None else ad.add(total, term)
     loss = ad.mul(total, ad.constant(1.0 / n))
-    g_params = manager.generator.params()
-    e_params = manager.encoder.params()
     names_g, names_e = list(g_params), list(e_params)
     grads = ad.grad(loss, [g_params[k] for k in names_g] + [e_params[k] for k in names_e])
     return (
@@ -500,8 +501,8 @@ def test_apply_global_replaces_values():
     cfg = _cfg()
     m1 = ManagerNode(0, SMALL, cfg, 1)
     m2 = ManagerNode(1, SMALL, cfg, 2)
-    gen = {k: p.data.copy() for k, p in m2.generator.params().items()}
-    enc = {k: p.data.copy() for k, p in m2.encoder.params().items()}
+    gen = {k: p.copy() for k, p in m2.generator.params().items()}
+    enc = {k: p.copy() for k, p in m2.encoder.params().items()}
     apply_global(m1, gen, enc)
     np.testing.assert_array_equal(
         _flat_params(m1.generator, m1.encoder), _flat_params(m2.generator, m2.encoder))
@@ -573,7 +574,7 @@ def test_nonfinite_global_parameters_stop_training(monkeypatch):
     def planted(manager, feedbacks, iteration):
         update(manager, feedbacks, iteration)
         if manager.slice_id == 1:
-            manager.generator.params()["g/head/weights"].data[0, 0] = np.nan
+            manager.generator.params()["g/head/weights"][0, 0] = np.nan
 
     monkeypatch.setattr(federation, "manager_update", planted)
     topo = TopologySpec(2, 2)
@@ -624,7 +625,7 @@ def test_param_counts_recorded():
     counts = res.ledger.param_counts
     manager = next(iter(res.managers.values()))
     assert counts["generator"] == sum(
-        p.data.size for p in manager.generator.params().values())
+        p.size for p in manager.generator.params().values())
     assert counts["critic"] > 0 and counts["encoder"] > 0
 
 

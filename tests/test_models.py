@@ -4,7 +4,6 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from fedbiwgan import autodiff as ad
 from fedbiwgan.models import (
     CriticModel,
     EncoderModel,
@@ -75,10 +74,9 @@ def test_critic_zero_init_heads():
     for name, expected in (("bigan", 0.5), ("biwgan_gp", 0.0)):
         d = CriticModel(SMALL, np.random.default_rng(0), OBJECTIVES[name])
         for p in d.params().values():
-            p.data[...] = 0.0
+            p[...] = 0.0
         rows = pair_rows(np.zeros((3, 4, 3)), np.zeros((3, 2)))
-        with ad.no_record():
-            scores = d(ad.tensor(rows)).data[:, 0]
+        scores = d.net.forward(rows)[-1][:, 0]
         assert scores.shape == (3,)
         np.testing.assert_allclose(scores, expected)
 
@@ -87,7 +85,7 @@ def test_raw_output_is_presigmoid():
     d = CriticModel(SMALL, np.random.default_rng(3), OBJECTIVES["bigan"])
     u = np.random.default_rng(4).standard_normal((2, SMALL.pair_dim))
     raw = d.raw_output(u)
-    prob = d(ad.tensor(u)).data
+    prob = d.net.forward(u)[-1]
     np.testing.assert_allclose(1 / (1 + np.exp(-raw)), prob, rtol=1e-12)
 
 
@@ -138,7 +136,7 @@ class _LinearPairCritic:
     def __init__(self, w):
         w = np.asarray(w, dtype=np.float64)
         self.net = FeedForward([w.shape[1], 1], ["linear"])
-        self.net.layers[0].weights.data[...] = w
+        self.net.layers[0].weights[...] = w
 
 
 def _scalar_pair(x, z):
@@ -219,8 +217,8 @@ class _ConstantProbCritic:
 
     def __init__(self, p, input_dim):
         self.net = FeedForward([input_dim, 1], ["sigmoid"])
-        self.net.layers[0].weights.data[...] = 0.0
-        self.net.layers[0].bias.data[...] = np.log(p / (1.0 - p))
+        self.net.layers[0].weights[...] = 0.0
+        self.net.layers[0].bias[...] = np.log(p / (1.0 - p))
 
 
 def _random_pairs(rng, m, window=2, features=2, latent=2):
@@ -306,15 +304,15 @@ class _StackCritic:
 
 
 def _at(params, probe, fn):
-    """fn() with the parameters' values swapped for probe's."""
-    saved = {k: p.data for k, p in params.items()}
+    """fn() with probe's values copied into the parameters, restored after."""
+    saved = {k: p.copy() for k, p in params.items()}
     for k, p in params.items():
-        p.data = probe[k]
+        p[...] = probe[k]
     try:
         return fn()
     finally:
         for k, p in params.items():
-            p.data = saved[k]
+            p[...] = saved[k]
 
 
 @pytest.mark.parametrize("stacked", [False, True])
@@ -331,10 +329,12 @@ def test_closed_form_matches_finite_differences(name, depth, activation, stacked
     net = FeedForward([width] + [3] * (depth - 1) + [1], [activation] * (depth - 1) + [head],
                       rng, name="d")
     lead = (2,) if stacked else ()
+    draws = {}
+    for k, p in net.params().items():
+        shape = p.shape if p.ndim == 2 or not stacked else (1,) + p.shape
+        draws[k] = rng.uniform(-1.0, 1.0, lead + shape)
+    net.set_params(draws)
     params = net.params()
-    for p in params.values():
-        shape = p.data.shape if p.data.ndim == 2 or not stacked else (1,) + p.data.shape
-        p.data = rng.uniform(-1.0, 1.0, lead + shape)
     d = _StackCritic(net)
     # a window-only critic reads the first `width` columns of wider rows
     cols = width if objective.joint else width + 2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from graph_reference import as_node, dense, gradient_penalty_backward, leaves
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,9 +14,7 @@ from fedbiwgan.nn import (
     ShapeError,
     VlstmCell,
     adam_step,
-    as_node,
     finite_difference_gradient,
-    gradient_penalty_backward,
 )
 
 
@@ -25,32 +24,32 @@ from fedbiwgan.nn import (
 
 def test_dense_identity():
     layer = Dense(2, 2, "linear")
-    layer.weights.data[...] = np.eye(2)
-    layer.bias.data[...] = 0.0
-    out = layer(ad.tensor([[1.0, 0.0]]))
-    np.testing.assert_array_equal(out.data, [[1.0, 0.0]])
+    layer.weights[...] = np.eye(2)
+    layer.bias[...] = 0.0
+    out = layer.forward(np.array([[1.0, 0.0]]))
+    np.testing.assert_array_equal(out, [[1.0, 0.0]])
 
 
 def test_dense_sigmoid_at_zero():
     layer = Dense(1, 1, "sigmoid")
-    layer.weights.data[...] = 0.0
-    layer.bias.data[...] = 0.0
-    out = layer(ad.tensor([[0.0]]))
-    np.testing.assert_allclose(out.data, [[0.5]])
+    layer.weights[...] = 0.0
+    layer.bias[...] = 0.0
+    out = layer.forward(np.array([[0.0]]))
+    np.testing.assert_allclose(out, [[0.5]])
 
 
 def test_dense_tanh_scalar():
     layer = Dense(1, 1, "tanh")
-    layer.weights.data[...] = 2.0
-    layer.bias.data[...] = 1.0
-    out = layer(ad.tensor([[3.0]]))
-    np.testing.assert_allclose(out.data, [[np.tanh(7.0)]], rtol=1e-12)
+    layer.weights[...] = 2.0
+    layer.bias[...] = 1.0
+    out = layer.forward(np.array([[3.0]]))
+    np.testing.assert_allclose(out, [[np.tanh(7.0)]], rtol=1e-12)
 
 
 def test_dense_shape_error():
     layer = Dense(3, 2)
     with pytest.raises(ShapeError):
-        layer(ad.tensor(np.ones((1, 4))))
+        layer.forward(np.ones((1, 4)))
 
 
 def test_dense_unknown_activation():
@@ -62,8 +61,8 @@ def test_dense_init_bounds():
     rng = np.random.default_rng(0)
     layer = Dense(16, 8, rng=rng)
     limit = 1.0 / np.sqrt(16)
-    assert np.all(np.abs(layer.weights.data) <= limit)
-    assert np.all(layer.bias.data == 0.0)
+    assert np.all(np.abs(layer.weights) <= limit)
+    assert np.all(layer.bias == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +72,7 @@ def test_dense_init_bounds():
 def _zero_cell(in_dim=1, hidden=1):
     cell = VlstmCell(in_dim, hidden)
     for p in cell.params().values():
-        p.data[...] = 0.0
+        p[...] = 0.0
     return cell
 
 
@@ -88,8 +87,8 @@ def test_vlstm_zero_params_carry_half_cell():
     # (y=0) sees zero weights on (h, c): gates at sigma(0)=0.5, candidate
     # 0, so c = 0.5*c_prev, h = 0.5*tanh(c)
     cell = _zero_cell()
-    cell.w_i.data[0, 0] = 100.0
-    cell.w_z.data[0, 0] = 100.0
+    cell.w_i[0, 0] = 100.0
+    cell.w_z[0, 0] = 100.0
     h, _ = cell(np.array([[[1.0]], [[0.0]]]))
     np.testing.assert_allclose(h[0], [[0.5 * np.tanh(1.0)]])
     np.testing.assert_allclose(h[1], [[0.5 * np.tanh(0.5)]])
@@ -101,8 +100,8 @@ def test_vlstm_saturated_gates_pass_cell_through():
     # saturated open and candidate 0, passes it through
     cell = _zero_cell()
     for key in ("b_i", "b_f", "b_o"):
-        cell.params()[f"vlstm/{key}"].data[...] = 100.0
-    cell.w_z.data[0, 0] = 1.0
+        cell.params()[f"vlstm/{key}"][...] = 100.0
+    cell.w_z[0, 0] = 1.0
     h, _ = cell(np.array([[[np.arctanh(0.7)]], [[0.0]]]))
     np.testing.assert_allclose(h[1], [[np.tanh(0.7)]], atol=1e-6)
     np.testing.assert_allclose(h[0], [[np.tanh(0.7)]], atol=1e-6)
@@ -121,23 +120,23 @@ def test_vlstm_shape_errors():
         cell(np.ones((4, 1, 2)), steps=4)
 
 
-def _reference_sequence(cell, x, steps):
-    """The cell unrolled step by step in autodiff ops, from zero state:
-    input and forget gates see [y, h_prev, c_prev], the candidate
-    [y, h_prev], the output gate [y, h_prev, c]."""
+def _reference_sequence(cell, x, steps, params):
+    """The cell unrolled step by step in autodiff ops over its params
+    leaves, from zero state: input and forget gates see [y, h_prev,
+    c_prev], the candidate [y, h_prev], the output gate [y, h_prev, c]."""
+    w_i, b_i, w_f, b_f, w_z, b_z, w_o, b_o = (params[k] for k in cell.params())
     batch = x.data.shape[-2]
     h = c = ad.zeros((batch, cell.hidden_dim))
     hs = []
     for t in range(steps):
         y = x if x.data.ndim == 2 else ad.reshape(ad.narrow(x, 0, t, 1), x.data.shape[1:])
         yhc = ad.concat([y, h, c], axis=1)
-        gate_i = ad.sigmoid(ad.add(ad.matmul(yhc, ad.transpose(cell.w_i)), cell.b_i))
-        gate_f = ad.sigmoid(ad.add(ad.matmul(yhc, ad.transpose(cell.w_f)), cell.b_f))
-        cand = ad.tanh(ad.add(ad.matmul(ad.concat([y, h], axis=1), ad.transpose(cell.w_z)),
-                              cell.b_z))
+        gate_i = ad.sigmoid(ad.add(ad.matmul(yhc, ad.transpose(w_i)), b_i))
+        gate_f = ad.sigmoid(ad.add(ad.matmul(yhc, ad.transpose(w_f)), b_f))
+        cand = ad.tanh(ad.add(ad.matmul(ad.concat([y, h], axis=1), ad.transpose(w_z)), b_z))
         c_prev, c = c, ad.add(ad.mul(gate_f, c), ad.mul(gate_i, cand))
         yhc_out = ad.concat([y, h, c], axis=1)
-        gate_o = ad.sigmoid(ad.add(ad.matmul(yhc_out, ad.transpose(cell.w_o)), cell.b_o))
+        gate_o = ad.sigmoid(ad.add(ad.matmul(yhc_out, ad.transpose(w_o)), b_o))
         h = ad.mul(gate_o, ad.tanh(c))
         hs.append(ad.reshape(h, (1, batch, cell.hidden_dim)))
     return ad.concat(hs, axis=0)
@@ -149,8 +148,8 @@ def _relative_error(got, want):
 
 def _random_biases(model, rng):
     for p in model.params().values():
-        if p.data.ndim == 1:
-            p.data[...] = rng.uniform(-0.5, 0.5, p.data.shape)
+        if p.ndim == 1:
+            p[...] = rng.uniform(-0.5, 0.5, p.shape)
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,13 +165,13 @@ def test_vlstm_sequence_matches_step_loop(batch, steps, repeated, in_dim, hidden
     x = ad.tensor(rng.standard_normal((batch, in_dim) if repeated else (steps, batch, in_dim)),
                   requires_grad=True)
     out, tape = cell(x.data, steps=steps if repeated else None, keep=True)
-    ref = _reference_sequence(cell, x, steps)
+    params = leaves(cell)
+    ref = _reference_sequence(cell, x, steps, params)
     np.testing.assert_array_equal(out, ref.data)
     np.testing.assert_array_equal(cell(x.data, steps if repeated else None)[0], out)
     cot = rng.standard_normal(out.shape)
     grads = {}
     dx = cell.backward(tape, cot, grads)
-    params = cell.params()
     assert list(grads) == list(params)
     want = ad.grad(ref, [*params.values(), x], out_grad=cot)
     for got, w in zip([*grads.values(), dx], want):
@@ -184,7 +183,7 @@ def test_vlstm_sequence_refuses_second_derivative():
     # derivative through it is refused, not answered with zeros
     cell = VlstmCell(2, 3, np.random.default_rng(0))
     x = ad.tensor(np.ones((2, 1, 2)), requires_grad=True)
-    g = ad.grad(ad.tsum(as_node(cell, x)), [x])[0]
+    g = ad.grad(ad.tsum(as_node(cell, x, leaves(cell))), [x])[0]
     with pytest.raises(ValueError, match="does not require grad"):
         ad.grad(ad.tsum(g), [x])
 
@@ -204,22 +203,27 @@ def _step(x, t, axis=0):
     return ad.reshape(ad.narrow(x, axis, t, 1), shape[:axis] + shape[axis + 1:])
 
 
-def _reference_generator(g, z):
-    """The generator in engine ops: the cells unrolled step by step, and
-    the head applied per step to batch-major [batch, window, features]."""
+def _reference_generator(g, z, params):
+    """The generator in engine ops over its params leaves: the cells
+    unrolled step by step, and the head applied per step to batch-major
+    [batch, window, features]."""
     window, batch = g.cfg.window, z.data.shape[0]
-    h = _reference_sequence(g.lstm2, _reference_sequence(g.lstm1, z, window), window)
-    return ad.concat([ad.reshape(g.head(_step(h, t)), (batch, 1, g.cfg.features))
+    h = _reference_sequence(g.lstm1, z, window, params)
+    h = _reference_sequence(g.lstm2, h, window, params)
+    return ad.concat([ad.reshape(dense(g.head, _step(h, t), params),
+                                 (batch, 1, g.cfg.features))
                       for t in range(window)], axis=1)
 
 
-def _reference_encoder(e, x):
-    """The encoder in engine ops: the head per step of the batch-major
-    windows, the cells unrolled step by step, and the last hidden state."""
+def _reference_encoder(e, x, params):
+    """The encoder in engine ops over its params leaves: the head per step
+    of the batch-major windows, the cells unrolled step by step, and the
+    last hidden state."""
     window, batch = e.cfg.window, x.data.shape[0]
-    steps = ad.concat([ad.reshape(e.head(_step(x, t, axis=1)), (1, batch, -1))
+    steps = ad.concat([ad.reshape(dense(e.head, _step(x, t, axis=1), params), (1, batch, -1))
                        for t in range(window)], axis=0)
-    h = _reference_sequence(e.lstm2, _reference_sequence(e.lstm1, steps, window), window)
+    h = _reference_sequence(e.lstm1, steps, window, params)
+    h = _reference_sequence(e.lstm2, h, window, params)
     return _step(h, window - 1)
 
 
@@ -242,13 +246,13 @@ def test_generator_and_encoder_backward_match_engine_reference(batch, window, fe
     ):
         _random_biases(model, rng)
         out, tape = model(x, keep=True)
-        ref = reference(model, ad.tensor(x))
+        params = leaves(model)
+        ref = reference(model, ad.tensor(x), params)
         np.testing.assert_array_equal(out, ref.data)
         np.testing.assert_array_equal(model(x)[0], out)
         cot = rng.standard_normal(out.shape)
         grads = {}
         model.backward(tape, cot, grads)
-        params = model.params()
         assert grads.keys() == params.keys()
         for key, want in zip(params, ad.grad(ref, list(params.values()), out_grad=cot)):
             assert _relative_error(grads[key], want.data) <= 1e-12, key
@@ -259,28 +263,40 @@ def test_generator_and_encoder_backward_match_engine_reference(batch, window, fe
 
 
 def _param_and_input_grads(net, x, out_grad):
-    """ad.grad of sum(net(x) * out_grad) w.r.t. every parameter and x."""
-    x_leaf = ad.tensor(np.asarray(x, dtype=np.float64), requires_grad=True)
-    params = net.params()
-    grads = ad.grad(net(x_leaf), [*params.values(), x_leaf], out_grad=out_grad)
-    return {k: g.data for k, g in zip(params, grads)}, grads[-1].data
+    """The numpy backward's gradients of sum(net(x) * out_grad) w.r.t.
+    every parameter and x, for a FeedForward net."""
+    outs = net.forward(np.asarray(x, dtype=np.float64))
+    grads = {}
+    net.backward(outs, out_grad, grads)
+    return grads, net.backward(outs, out_grad)
+
+
+def _at(params, probe, fn):
+    """fn() with probe's values copied into the parameters, restored after."""
+    saved = {k: p.copy() for k, p in params.items()}
+    for k, p in params.items():
+        p[...] = probe[k]
+    try:
+        return fn()
+    finally:
+        for k, p in params.items():
+            p[...] = saved[k]
 
 
 def test_forward_single_linear_layer_matches_dense():
+    # the engine reference's dense graph equals the numpy forward bit for bit
     rng = np.random.default_rng(1)
     layer = Dense(3, 2, "linear", rng)
     x = rng.standard_normal((4, 3))
-    out = layer(ad.tensor(x, requires_grad=True))
-    with ad.no_record():
-        np.testing.assert_array_equal(out.data, layer(ad.tensor(x)).data)
+    out = dense(layer, ad.tensor(x, requires_grad=True), leaves(layer))
+    np.testing.assert_array_equal(out.data, layer.forward(x))
     assert out.requires_grad
 
 
 def test_forward_empty_batch():
     layer = Dense(3, 2)
-    with ad.no_record():
-        out = layer(ad.tensor(np.zeros((0, 3))))
-    assert out.data.shape == (0, 2)
+    out = layer.forward(np.zeros((0, 3)))
+    assert out.shape == (0, 2)
 
 
 def test_stacked_recurrent_head_shape():
@@ -296,9 +312,11 @@ def test_stacked_recurrent_head_shape():
 
 def test_backward_linear_outer_product():
     layer = Dense(3, 1, "linear")
-    layer.weights.data[...] = 0.0
+    layer.weights[...] = 0.0
     x = np.array([[2.0, -1.0, 0.5]])
-    grads, gin = _param_and_input_grads(layer, x, np.ones((1, 1)))
+    grads = {}
+    layer.add_grads(grads, np.ones((1, 1)), x)
+    gin = np.ones((1, 1)) @ layer.weights
     np.testing.assert_allclose(grads["dense/weights"], x)
     np.testing.assert_allclose(grads["dense/bias"], [1.0])
     np.testing.assert_allclose(gin, np.zeros_like(x))
@@ -308,6 +326,7 @@ def test_backward_zero_cotangent():
     rng = np.random.default_rng(3)
     net = FeedForward([3, 4, 1], ["tanh", "linear"], rng)
     grads, gin = _param_and_input_grads(net, rng.standard_normal((2, 3)), np.zeros((2, 1)))
+    assert grads.keys() == net.params().keys()
     assert all(np.all(g == 0) for g in grads.values())
     assert np.all(gin == 0)
 
@@ -320,14 +339,7 @@ def test_backward_matches_finite_differences():
     params = net.params()
 
     def loss(probe):
-        saved = {k: params[k].data for k in params}
-        for k in params:
-            params[k].data = probe[k]
-        try:
-            return float(np.sum(net(ad.tensor(x)).data))
-        finally:
-            for k in params:
-                params[k].data = saved[k]
+        return _at(params, probe, lambda: float(np.sum(net.forward(x)[-1])))
 
     numeric = finite_difference_gradient(loss, params)
     for k in params:
@@ -344,7 +356,7 @@ class _LinearCritic(FeedForward):
     def __init__(self, w):
         w = np.asarray(w, dtype=np.float64)
         super().__init__([w.shape[1], 1], ["linear"], name="d")
-        self.layers[0].weights.data[...] = w
+        self.layers[0].weights[...] = w
 
 
 def test_penalty_linear_critic_w2():
@@ -376,14 +388,7 @@ def test_penalty_matches_finite_differences():
     params = net.params()
 
     def loss(probe):
-        saved = {k: params[k].data for k in params}
-        for k in params:
-            params[k].data = probe[k]
-        try:
-            return gradient_penalty_backward(net, x_hat, 10.0)[0]
-        finally:
-            for k in params:
-                params[k].data = saved[k]
+        return _at(params, probe, lambda: gradient_penalty_backward(net, x_hat, 10.0)[0])
 
     numeric = finite_difference_gradient(loss, params)
     for k in params:
@@ -395,29 +400,29 @@ def test_penalty_matches_finite_differences():
 
 
 def test_adam_zero_grad_is_fixed_point():
-    params = {"w": ad.tensor([1.0, -2.0], requires_grad=True)}
+    params = {"w": np.array([1.0, -2.0])}
     state = AdamState.for_params(params)
     adam_step(params, {"w": np.zeros(2)}, state, AdamConfig())
-    np.testing.assert_array_equal(params["w"].data, [1.0, -2.0])
+    np.testing.assert_array_equal(params["w"], [1.0, -2.0])
     assert state.step_count == 1
 
 
 def test_adam_first_step_is_signed_alpha():
-    params = {"w": ad.tensor([0.0], requires_grad=True)}
+    params = {"w": np.array([0.0])}
     state = AdamState.for_params(params)
     adam_step(params, {"w": np.array([0.5])}, state, AdamConfig(alpha=0.001))
-    np.testing.assert_allclose(params["w"].data, [-0.001], atol=1e-7)
+    np.testing.assert_allclose(params["w"], [-0.001], atol=1e-7)
 
 
 def test_adam_constant_grad_step_does_not_grow():
-    params = {"w": ad.tensor([0.0], requires_grad=True)}
+    params = {"w": np.array([0.0])}
     state = AdamState.for_params(params)
     cfg = AdamConfig(alpha=0.01)
     adam_step(params, {"w": np.array([1.0])}, state, cfg)
-    d1 = abs(params["w"].data[0])
-    before = params["w"].data[0]
+    d1 = abs(params["w"][0])
+    before = params["w"][0]
     adam_step(params, {"w": np.array([1.0])}, state, cfg)
-    d2 = abs(params["w"].data[0] - before)
+    d2 = abs(params["w"][0] - before)
     assert d2 <= d1 * (1 + 1e-9)
 
 
@@ -431,7 +436,7 @@ def test_adam_config_validation():
 
 
 def test_adam_shape_mismatch():
-    params = {"w": ad.tensor([0.0, 0.0], requires_grad=True)}
+    params = {"w": np.array([0.0, 0.0])}
     state = AdamState.for_params(params)
     with pytest.raises(ShapeError):
         adam_step(params, {"w": np.zeros(3)}, state, AdamConfig())

@@ -32,7 +32,7 @@ def _run(variant):
 
 
 def _arrays(params):
-    return {k: p.data.copy() for k, p in params.items()}
+    return {k: p.copy() for k, p in params.items()}
 
 
 def _assert_params_equal(a, b):
@@ -57,20 +57,20 @@ def test_window_only_critic_and_untouched_encoder(variant):
     data_dim = TINY.window * TINY.features
     assert encoder is None
     assert critic.input_dim == data_dim
-    assert critic.params()["d/layer0/weights"].data.shape[1] == data_dim
+    assert critic.params()["d/layer0/weights"].shape[1] == data_dim
 
     manager = result.managers[(0, 0)]
     initial = ManagerNode(0, TINY, CFG, SEED)
     _assert_params_equal(_arrays(manager.encoder.params()), _arrays(initial.encoder.params()))
     # the generator did train
-    assert any(np.any(manager.generator.params()[k].data != p.data)
+    assert any(np.any(manager.generator.params()[k] != p)
                for k, p in initial.generator.params().items())
 
 
 def test_wgan_critic_weights_are_clipped():
     _, _, critic = _run("wgan").bundle_for(0, 0)
     for p in critic.params().values():
-        assert np.all(np.abs(p.data) <= WEIGHT_CLIP)
+        assert np.all(np.abs(p) <= WEIGHT_CLIP)
 
 
 @pytest.mark.parametrize("variant,head,paired", [
