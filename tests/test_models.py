@@ -4,6 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from fedbiwgan.gradcheck import _at
 from fedbiwgan.models import (
     CriticModel,
     EncoderModel,
@@ -301,18 +302,6 @@ class _StackCritic:
 
     def __init__(self, net):
         self.net = net
-
-
-def _at(params, probe, fn):
-    """fn() with probe's values copied into the parameters, restored after."""
-    saved = {k: p.copy() for k, p in params.items()}
-    for k, p in params.items():
-        p[...] = probe[k]
-    try:
-        return fn()
-    finally:
-        for k, p in params.items():
-            p[...] = saved[k]
 
 
 @pytest.mark.parametrize("stacked", [False, True])

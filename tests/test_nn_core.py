@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedbiwgan import autodiff as ad
+from fedbiwgan.gradcheck import _at
 from fedbiwgan.models import EncoderModel, GeneratorModel, ModelConfig
 from fedbiwgan.nn import (
     AdamConfig,
@@ -271,18 +272,6 @@ def _param_and_input_grads(net, x, out_grad):
     return grads, net.backward(outs, out_grad)
 
 
-def _at(params, probe, fn):
-    """fn() with probe's values copied into the parameters, restored after."""
-    saved = {k: p.copy() for k, p in params.items()}
-    for k, p in params.items():
-        p[...] = probe[k]
-    try:
-        return fn()
-    finally:
-        for k, p in params.items():
-            p[...] = saved[k]
-
-
 def test_forward_single_linear_layer_matches_dense():
     # the engine reference's dense graph equals the numpy forward bit for bit
     rng = np.random.default_rng(1)
@@ -311,14 +300,12 @@ def test_stacked_recurrent_head_shape():
 
 
 def test_backward_linear_outer_product():
-    layer = Dense(3, 1, "linear")
-    layer.weights[...] = 0.0
+    net = FeedForward([3, 1], ["linear"], name="dense")
+    net.layers[0].weights[...] = 0.0
     x = np.array([[2.0, -1.0, 0.5]])
-    grads = {}
-    layer.add_grads(grads, np.ones((1, 1)), x)
-    gin = np.ones((1, 1)) @ layer.weights
-    np.testing.assert_allclose(grads["dense/weights"], x)
-    np.testing.assert_allclose(grads["dense/bias"], [1.0])
+    grads, gin = _param_and_input_grads(net, x, np.ones((1, 1)))
+    np.testing.assert_allclose(grads["dense/layer0/weights"], x)
+    np.testing.assert_allclose(grads["dense/layer0/bias"], [1.0])
     np.testing.assert_allclose(gin, np.zeros_like(x))
 
 
