@@ -25,7 +25,14 @@ from .config import (
 )
 from .data import FEATURE_NAMES, InjectionConfig, SynthSpec, synth_dataset
 from .detection import DetectionConfig
-from .experiment import build_node_data, calibrate_monitors, detect_monitors, train_experiment
+from .experiment import (
+    build_node_data,
+    calibrate_experiment,
+    calibrate_monitors,
+    detect_experiment,
+    detect_monitors,
+    train_experiment,
+)
 from .federation import MODES, TopologySpec, TrainingConfig, run_training
 from .gradcheck import run_gradcheck
 from .ledger import CostLedger, _link_class, flop_estimates
@@ -320,26 +327,20 @@ def cmd_compare(args):
     variants = args.variants or list(OBJECTIVES)
     seeds = args.seeds or [exp.seed]
     nodes = build_node_data(exp)
-    # every variant trains one standalone model on the monitors' pooled windows
-    train, val, test = ({(0, 0): np.concatenate([getattr(nd, split) for nd in nodes.values()])}
-                        for split in ("train", "val", "test"))
-    training = replace(exp.training, mode="standalone")
+    # every variant trains one centralized model and is scored per monitor
+    shards = {key: nd.train for key, nd in nodes.items()}
+    training = replace(exp.training, mode="centralized")
     dataset_hash = config_hash({"data": exp.raw.get("data", {}),
                                 "topology": exp.raw.get("topology", {})})
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    gamma = exp.detection.gamma
     for seed in seeds:
         for variant in variants:
-            result = run_training(TopologySpec(), training, exp.model, train, seed, variant)
-            bundles = {(0, 0): result.bundle_for(0, 0)}
-            thresholds = calibrate_monitors(bundles, val, exp.injection, gamma)
-            _, metrics, _ = detect_monitors(
-                bundles, test, exp.injection,
-                {key: th["threshold"] for key, th in thresholds.items()}, gamma,
-            )
+            result = run_training(exp.topology, training, exp.model, shards, seed, variant)
+            thresholds = calibrate_experiment(exp, result, nodes)
+            _, metrics, _ = detect_experiment(exp, result, nodes, thresholds)
             rows.append({
                 "variant": variant,
                 "seed": seed,
@@ -384,10 +385,15 @@ def cmd_report_costs(args):
             writer.writerow([iteration, cls, payload])
 
     training, topo = manifest.training, manifest.topology
+    # a standalone or centralized manager serves one monitor's batch, and
+    # only a federated run sends parameters to the controller
+    served = topo.monitors_per_slice if manifest.mode in ("distributed", "federated") else 1
     flops = flop_estimates(
         manifest.param_counts, training.iterations, training.critic_iters,
-        training.batch_size, topo.monitors_per_slice, topo.slices, training.local_iters,
+        training.batch_size, served, topo.slices, training.local_iters,
     )
+    if manifest.mode != "federated":
+        flops["controller"] = 0
     with open(run_dir / "cost_flops.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node_class", "flop_estimate"])

@@ -12,7 +12,7 @@ from fedbiwgan.checkpoint import save_container
 from fedbiwgan.cli import main
 from fedbiwgan.config import load_experiment
 from fedbiwgan.experiment import build_node_data
-from fedbiwgan.federation import MonitorNode
+from fedbiwgan.federation import MODES, MonitorNode
 
 TINY_CONFIG = """\
 seed: 3
@@ -299,6 +299,25 @@ def test_report_costs_tables(trained_run):
     assert (run / "cost_phases.json").exists()
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_report_costs_flops_follow_the_mode(tmp_path, mode):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(TINY_CONFIG)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run), "--mode", mode]) == 0
+    assert main(["report-costs", "--run", str(run)]) == 0
+    with open(run / "cost_flops.csv") as fh:
+        flops = {r["node_class"]: int(r["flop_estimate"]) for r in csv.DictReader(fh)}
+    counts = json.loads((run / "manifest.json").read_text())["param_counts"]
+    theta = counts["generator"] + counts["encoder"]
+    # a manager serves its slice's N = 2 monitors only when the mode groups
+    # by slice, and only federated runs (S = 1, I = 4, L = 2) reach the
+    # controller
+    served = 2 if mode in ("distributed", "federated") else 1
+    assert flops["manager"] == 2 * 4 * 4 * served * theta
+    assert flops["controller"] == (theta * 4 // 2 if mode == "federated" else 0)
+
+
 def test_larger_batch_costs_more_monitor_bytes(trained_run, tmp_path):
     cfg_text = TINY_CONFIG
     totals = {}
@@ -369,3 +388,22 @@ def test_compare_bad_list_flag_exits_2(tmp_path, capsys, flag, value):
     assert main(["compare", "--config", str(cfg), "--out", str(out), flag, value]) == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_compare_scores_like_evaluate(tmp_path):
+    # compare's row is the centralized train -> calibrate -> evaluate run's
+    # metrics.json, monitor by monitor, not a pooled monitor's
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(TINY_CONFIG)
+    run, out = tmp_path / "run", tmp_path / "cmp"
+    for argv in (["train", "--config", str(cfg), "--out", str(run), "--mode", "centralized"],
+                 ["calibrate", "--run", str(run)],
+                 ["evaluate", "--run", str(run)],
+                 ["compare", "--config", str(cfg), "--out", str(out), "--variants",
+                  "biwgan_gp"]):
+        assert main(argv) == 0
+    metrics = json.loads((run / "metrics.json").read_text())
+    with open(out / "comparison.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    for name in ("precision", "recall", "f1", "accuracy"):
+        assert float(row[name]) == metrics[name], name

@@ -554,16 +554,28 @@ def test_distributed_single_monitor_equals_standalone():
 def test_centralized_pools_all_shards():
     topo = TopologySpec(2, 2)
     shards = _shards(topo, n_windows=10)
-    res = run_training(topo, _cfg(mode="centralized", iterations=2), SMALL, shards, 0)
-    assert set(res.monitors) == {(0, 0)}
-    assert res.monitors[(0, 0)].shard.shape[0] == 40
-    # upload accounted on both tiers for every shard
-    uploads = [r for r in res.ledger.records if r["kind"] == "data_batch"
-               and r["iteration"] == 0]
-    assert len(uploads) == 8
-    # any monitor key maps onto the pooled model
-    g, e, d = res.bundle_for(1, 1)
-    assert g is res.managers[(0, 0)].generator
+    # a joint objective and a window-only one
+    for name in ("biwgan_gp", "gan"):
+        res = run_training(topo, _cfg(mode="centralized", iterations=2), SMALL, shards, 0,
+                           name)
+        assert set(res.monitors) == {(0, 0)}
+        assert res.monitors[(0, 0)].shard.shape[0] == 40
+        # upload accounted on both tiers for every shard
+        uploads = [r for r in res.ledger.records if r["kind"] == "data_batch"
+                   and r["iteration"] == 0]
+        assert len(uploads) == 8
+        # any monitor key maps onto the pooled model
+        g, e, d = res.bundle_for(1, 1)
+        assert g is res.managers[(0, 0)].generator
+        # and it is bit for bit standalone 1x1 on the shards concatenated
+        # in (s, n) order
+        pooled = {(0, 0): np.concatenate([shards[key] for key in sorted(shards)])}
+        alone = run_training(TopologySpec(), _cfg(mode="standalone", iterations=2), SMALL,
+                             pooled, 0, name)
+        flat = [_flat_params(r.managers[(0, 0)].generator, r.managers[(0, 0)].encoder,
+                             r.monitors[(0, 0)].critic) for r in (res, alone)]
+        np.testing.assert_array_equal(*flat)
+        assert res.traces == alone.traces
 
 
 def test_nonfinite_global_parameters_stop_training(monkeypatch):

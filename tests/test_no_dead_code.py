@@ -12,13 +12,11 @@ from fedbiwgan.federation import CriticBank, MonitorNode, TrainingConfig
 from fedbiwgan.models import CriticModel, EncoderModel, GeneratorModel, ModelConfig
 
 # reached only from tests on purpose: the acceptance gate calls the first
-# four, overhead_bytes is the test oracle of the wire layout, and narrow
+# two, overhead_bytes is the test oracle of the wire layout, and narrow
 # slices one step of a sequence in the step-by-step engine references that
 # the VLSTM cell, generator and encoder are checked against
 ALLOWED = {
     ("autodiff", "concat"),
-    ("experiment", "calibrate_experiment"),
-    ("experiment", "detect_experiment"),
     ("ledger", "CostLedger.message_count"),
     ("wire", "overhead_bytes"),
     ("autodiff", "narrow"),
