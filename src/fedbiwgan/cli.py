@@ -1,7 +1,8 @@
 """Command-line surface: train, calibrate, detect, evaluate, compare,
 report-costs, synth, gradcheck.
 
-Exit codes: 0 success, 1 runtime failure, 2 config/usage error.
+Exit codes: 0 success, 1 runtime failure (a missing or malformed run
+artifact included), 2 config/usage error.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+import typing
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +60,14 @@ def _node_key(s, n):
     return f"{s}.{n}"
 
 
+_METRICS = ("precision", "recall", "f1", "accuracy")
+
+
+def _reported(m):
+    """A MetricValue as a run reports it: its value, or {"undefined": reason}."""
+    return m.value if m.defined else {"undefined": m.reason}
+
+
 def _unit_interval(text):
     value = float(text)
     if not 0.0 <= value <= 1.0:
@@ -91,11 +101,10 @@ def _variants(text):
 
 @dataclass
 class Manifest:
-    """A run's manifest.json; `training` holds only the loop counts."""
+    """A run's manifest.json; `training` is the resolved training section."""
 
     config_hash: str
     seed: int
-    mode: str
     topology: TopologySpec
     training: TrainingConfig
     gamma: float
@@ -105,7 +114,7 @@ class Manifest:
     artifacts: list
 
     def __post_init__(self):
-        TrainingConfig(mode=self.mode), DetectionConfig(self.gamma)  # their owners' checks
+        DetectionConfig(self.gamma)
 
 
 @dataclass
@@ -115,7 +124,7 @@ class NodeThreshold:
     threshold: float
     mean_normal: float
     mean_abnormal: float
-    degenerate: bool = False
+    degenerate: bool
 
 
 @dataclass
@@ -130,17 +139,36 @@ class Thresholds:
         DetectionConfig(self.gamma)
 
 
+def _missing_key(hint, doc, prefix=""):
+    """The dotted key of the first record field that doc, read as type
+    hint, lacks at any depth; None if it lacks none."""
+    if not isinstance(doc, dict):
+        return None  # resolve_section names the wrong type
+    if is_dataclass(hint):
+        absent = [f.name for f in fields(hint) if f.name not in doc]
+        if absent:
+            return prefix + absent[0]
+        hints = typing.get_type_hints(hint)
+        children = ((hints[f.name], doc[f.name], f"{prefix}{f.name}.") for f in fields(hint))
+    elif typing.get_origin(hint) is dict:
+        children = ((typing.get_args(hint)[1], v, f"{prefix}{k}.") for k, v in doc.items())
+    else:
+        return None
+    return next(filter(None, (_missing_key(*child) for child in children)), None)
+
+
 def _read_record(cls, path, remedy):
-    """The JSON file at path resolved into dataclass cls, every field of
-    which it must hold; UsageError naming the file and the key if not."""
+    """The JSON file at path resolved into dataclass cls. It must hold
+    every field of cls and of each record nested in it; UsageError naming
+    the file and the dotted key if not."""
     doc = _read_json(path)
-    for f in fields(cls):
-        if not isinstance(doc, dict) or f.name not in doc:
-            raise UsageError(f"{path}: no {f.name!r} key; {remedy}")
+    missing = _missing_key(cls, doc)
+    if missing:
+        raise UsageError(f"{path}: no {missing!r} key; {remedy}")
     try:
         return resolve_section(cls, "", doc)
     except ConfigError as exc:
-        raise UsageError(f"{path}: {exc}") from None
+        raise UsageError(f"{path}: {exc}; {remedy}") from None
 
 
 def _load_run(run_dir):
@@ -200,28 +228,18 @@ def cmd_train(args):
     _write_json(out / "config.resolved.json", exp.raw)
     artifacts.append("config.resolved.json")
 
-    _write_json(out / "manifest.json", {
-        "config_hash": exp.hash,
-        "seed": exp.seed,
-        "mode": exp.training.mode,
-        "topology": asdict(exp.topology),
-        "training": {"iterations": exp.training.iterations,
-                     "critic_iters": exp.training.critic_iters,
-                     "local_iters": exp.training.local_iters,
-                     "batch_size": exp.training.batch_size},
-        "gamma": exp.detection.gamma,
-        "injection": asdict(exp.injection),
-        "param_counts": result.ledger.param_counts,
-        "phase_seconds": dict(result.ledger.phase_seconds),
-        "artifacts": sorted(artifacts) + ["manifest.json"],
-    })
+    manifest = Manifest(exp.hash, exp.seed, exp.topology, exp.training, exp.detection.gamma,
+                        exp.injection, result.ledger.param_counts,
+                        dict(result.ledger.phase_seconds), sorted(artifacts) + ["manifest.json"])
+    _write_json(out / "manifest.json", asdict(manifest))
     print(f"run complete: mode={exp.training.mode}, artifacts in {out}")
     return 0
 
 
 def _load_bundles(run_dir, manifest, split):
     """Each monitor's (g, e, d) from its checkpoint and its stored `split`
-    windows, as two (s, n)-keyed mappings."""
+    windows, as two (s, n)-keyed mappings; each file must name the run's
+    config hash and its monitor."""
     builders = {
         "generator": lambda cfg: GeneratorModel(cfg, np.random.default_rng(0)),
         "encoder": lambda cfg: EncoderModel(cfg, np.random.default_rng(0)),
@@ -232,18 +250,18 @@ def _load_bundles(run_dir, manifest, split):
     for s in range(topo.slices):
         for n in range(topo.monitors_per_slice):
             # a centralized run trains one pooled model at (0, 0)
-            cs, cn = (0, 0) if manifest.mode == "centralized" else (s, n)
-            meta, cfg, models = load_models(
-                run_dir / "checkpoints" / f"node_{cs}_{cn}.ckpt", builders
-            )
-            if meta.get("config_hash") != manifest.config_hash:
-                raise UsageError(
-                    f"provenance error: checkpoint node_{s}_{n}.ckpt was produced by a "
-                    f"different config (hash {meta.get('config_hash')})"
-                )
+            cs, cn = (0, 0) if manifest.training.mode == "centralized" else (s, n)
+            ckpt = run_dir / "checkpoints" / f"node_{cs}_{cn}.ckpt"
+            ckpt_meta, _, models = load_models(ckpt, builders)
             bundles[(s, n)] = (models["generator"], models["encoder"], models["critic"])
-            _, wtensors = load_container(run_dir / "windows" / f"node_{s}_{n}.ckpt")
-            windows[(s, n)] = wtensors[split]
+            store = run_dir / "windows" / f"node_{s}_{n}.ckpt"
+            store_meta, tensors = load_container(store)
+            windows[(s, n)] = tensors[split]
+            for path, meta, node in ((ckpt, ckpt_meta, _node_key(cs, cn)),
+                                     (store, store_meta, _node_key(s, n))):
+                if (meta.get("config_hash"), meta.get("node")) != (manifest.config_hash, node):
+                    raise UsageError(f"provenance error: {path} was written for another config "
+                                     f"or monitor (node {meta.get('node')}); train the run again")
     return bundles, windows
 
 
@@ -252,14 +270,9 @@ def cmd_calibrate(args):
     gamma = manifest.gamma if args.gamma is None else args.gamma
     bundles, val = _load_bundles(run_dir, manifest, "val")
     thresholds = calibrate_monitors(bundles, val, manifest.injection, gamma)
-    _write_json(run_dir / "thresholds.json", {
-        "config_hash": manifest.config_hash,
-        "gamma": gamma,
-        "per_node": {
-            _node_key(*key): {k: v for k, v in entry.items() if k != "degenerate" or v}
-            for key, entry in thresholds.items()
-        },
-    })
+    per_node = {_node_key(*key): NodeThreshold(**entry) for key, entry in thresholds.items()}
+    _write_json(run_dir / "thresholds.json",
+                asdict(Thresholds(manifest.config_hash, gamma, per_node)))
     print(f"calibrated {len(thresholds)} monitor thresholds -> {run_dir / 'thresholds.json'}")
     return 0
 
@@ -270,7 +283,6 @@ def cmd_detect(args, with_metrics=False):
     if not th_path.exists():
         raise UsageError(f"{run_dir}: no thresholds.json; run calibrate first")
     th = _read_record(Thresholds, th_path, "run calibrate again")
-    gamma = th.gamma
     if th.config_hash != manifest.config_hash:
         raise UsageError("provenance error: thresholds were calibrated for a different config")
     bundles, test = _load_bundles(run_dir, manifest, "test")
@@ -282,7 +294,7 @@ def cmd_detect(args, with_metrics=False):
                              "run calibrate again")
         thresholds[key] = entry.threshold
     per_node, metrics, fault_recall = detect_monitors(bundles, test, manifest.injection,
-                                                      thresholds, gamma)
+                                                      thresholds, th.gamma)
     with open(run_dir / "scores.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node", "window", "score", "reconstruction_term",
@@ -298,23 +310,15 @@ def cmd_detect(args, with_metrics=False):
     if not with_metrics:
         return 0
 
-    counts = metrics["counts"]
-    doc = {
-        "config_hash": manifest.config_hash,
-        "gamma": gamma,
-        "counts": {"tp": counts.tp, "tn": counts.tn, "fp": counts.fp, "fn": counts.fn},
-        "per_fault_recall": {
-            k: (v.value if v.defined else {"undefined": v.reason})
-            for k, v in fault_recall.items()
-        },
-    }
-    for name in ("precision", "recall", "f1", "accuracy"):
-        m = metrics[name]
-        doc[name] = m.value if m.defined else {"undefined": m.reason}
-    _write_json(run_dir / "metrics.json", doc)
-    for name in ("precision", "recall", "f1", "accuracy"):
-        value = doc[name]
-        print(f"{name}: {value:.4f}" if isinstance(value, float) else f"{name}: {value}")
+    reported = {name: _reported(metrics[name]) for name in _METRICS}
+    _write_json(run_dir / "metrics.json", {
+        "config_hash": manifest.config_hash, "gamma": th.gamma,
+        "counts": asdict(metrics["counts"]),
+        "per_fault_recall": {k: _reported(v) for k, v in fault_recall.items()}, **reported,
+    })
+    for name, value in reported.items():
+        print(f"{name}: {value:.4f}" if isinstance(value, float)
+              else f"{name}: {json.dumps(value)}")
     return 0
 
 
@@ -341,15 +345,9 @@ def cmd_compare(args):
             result = run_training(exp.topology, training, exp.model, shards, seed, variant)
             thresholds = calibrate_experiment(exp, result, nodes)
             _, metrics, _ = detect_experiment(exp, result, nodes, thresholds)
-            rows.append({
-                "variant": variant,
-                "seed": seed,
-                "precision": metrics["precision"].value,
-                "recall": metrics["recall"].value,
-                "f1": metrics["f1"].value,
-                "accuracy": metrics["accuracy"].value,
-                "dataset_hash": dataset_hash,
-            })
+            rows.append({"variant": variant, "seed": seed,
+                         **{name: json.dumps(_reported(metrics[name])) for name in _METRICS},
+                         "dataset_hash": dataset_hash})
             print(f"variant={variant} seed={seed} f1={rows[-1]['f1']}")
     with open(out / "comparison.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
@@ -387,12 +385,12 @@ def cmd_report_costs(args):
     training, topo = manifest.training, manifest.topology
     # a standalone or centralized manager serves one monitor's batch, and
     # only a federated run sends parameters to the controller
-    served = topo.monitors_per_slice if manifest.mode in ("distributed", "federated") else 1
+    served = topo.monitors_per_slice if training.mode in ("distributed", "federated") else 1
     flops = flop_estimates(
         manifest.param_counts, training.iterations, training.critic_iters,
         training.batch_size, served, topo.slices, training.local_iters,
     )
-    if manifest.mode != "federated":
+    if training.mode != "federated":
         flops["controller"] = 0
     with open(run_dir / "cost_flops.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

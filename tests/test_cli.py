@@ -4,14 +4,16 @@ exit codes, provenance guards, and cost reports, all at toy scale."""
 import csv
 import json
 import shutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from fedbiwgan.checkpoint import save_container
-from fedbiwgan.cli import main
-from fedbiwgan.config import load_experiment
-from fedbiwgan.experiment import build_node_data
+from fedbiwgan.cli import Manifest, Thresholds, _read_record, main
+from fedbiwgan.config import config_hash, load_experiment
+from fedbiwgan.detection import MetricValue
+from fedbiwgan.experiment import build_node_data, detect_monitors
 from fedbiwgan.federation import MODES, MonitorNode
 
 TINY_CONFIG = """\
@@ -63,7 +65,7 @@ def test_train_writes_all_artifact_kinds(trained_run):
     assert (run / "ledger.csv").exists()
     assert (run / "config.resolved.json").exists()
     manifest = json.loads((run / "manifest.json").read_text())
-    assert manifest["mode"] == "federated"
+    assert manifest["training"]["mode"] == "federated"
     assert set(manifest["param_counts"]) == {"generator", "encoder", "critic"}
     for rel in manifest["artifacts"]:
         assert (run / rel).exists()
@@ -133,6 +135,23 @@ def test_evaluate_rerun_is_byte_identical(trained_run):
     assert (run / "metrics.json").read_bytes() == first
 
 
+def test_evaluate_reports_an_undefined_metric_as_json(trained_run, tmp_path, capsys,
+                                                       monkeypatch):
+    _, run = trained_run
+    assert main(["calibrate", "--run", str(run)]) == 0
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+
+    def undefined_f1(*args):
+        per_node, metrics, fault_recall = detect_monitors(*args)
+        return per_node, {**metrics, "f1": MetricValue(None, "planted")}, fault_recall
+
+    monkeypatch.setattr("fedbiwgan.cli.detect_monitors", undefined_f1)
+    assert main(["evaluate", "--run", str(copy)]) == 0
+    assert 'f1: {"undefined": "planted"}' in capsys.readouterr().out
+    assert json.loads((copy / "metrics.json").read_text())["f1"] == {"undefined": "planted"}
+
+
 def test_detect_without_thresholds_exits_1(trained_run, tmp_path):
     cfg, _ = trained_run
     run = tmp_path / "bare"
@@ -179,8 +198,9 @@ def _threshold_of_0_0(doc, value):
     (lambda doc: doc.update(per_node=[]), "per_node must be a mapping, got []"),
     (lambda doc: _threshold_of_0_0(doc, "high"),
      "per_node.0.0.threshold must be a finite number, got 'high'"),
+    (lambda doc: doc["per_node"]["0.0"].pop("degenerate"), "'per_node.0.0.degenerate'"),
 ], ids=["gamma", "config_hash", "per_node", "gamma-range", "per_node-list",
-        "threshold-string"])
+        "threshold-string", "degenerate"])
 def test_detect_with_a_bad_thresholds_key_exits_1(trained_run, tmp_path, capsys, edit, named):
     _, run = trained_run
     assert main(["calibrate", "--run", str(run)]) == 0
@@ -197,30 +217,92 @@ def test_detect_with_a_bad_thresholds_key_exits_1(trained_run, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("key, value", [
-    ("topology", None), ("mode", None), ("config_hash", None), ("gamma", None),
+    ("topology", None), ("training.mode", None), ("config_hash", None), ("gamma", None),
     ("injection", None), ("training", None), ("param_counts", None),
     ("injection", {"rate": "high", "magnitude": 2.5, "seed": 0}),
     ("injection", {"rate": 0.3, "magnitude": 2.5, "seed": 0.9}),
     ("topology", {"slices": 0, "monitors_per_slice": 2}),
-    ("training", {"iterations": "4"}), ("mode", "gossip"), ("gamma", 1.5),
-    ("param_counts", {"critic": "x"}),
+    ("training", {"iterations": "4"}), ("training.mode", "gossip"), ("gamma", 1.5),
+    ("param_counts", {"critic": "x"}), ("injection.seed", None),
 ], ids=lambda v: "missing" if v is None else None)
 def test_bad_manifest_key_exits_1(trained_run, tmp_path, capsys, key, value):
+    # key is dotted: "training.mode" edits the mode inside the training section;
+    # a missing key is named whole, a bad value's check names its section and field
     _, run = trained_run
     assert main(["calibrate", "--run", str(run)]) == 0
     copy = tmp_path / "run"
     shutil.copytree(run, copy)
     doc = json.loads((copy / "manifest.json").read_text())
+    *outer, last = key.split(".")
+    section = doc
+    for name in outer:
+        section = section[name]
     if value is None:
-        del doc[key]
+        del section[last]
     else:
-        doc[key] = value
+        section[last] = value
     (copy / "manifest.json").write_text(json.dumps(doc))
     capsys.readouterr()
+    named = [key] if value is None else key.split(".")
     for command in ("calibrate", "detect", "evaluate", "report-costs"):
         assert main([command, "--run", str(copy)]) == 1
         err = capsys.readouterr().err
-        assert "manifest.json" in err and key in err, err
+        assert "manifest.json" in err and all(n in err for n in named), err
+
+
+def test_old_format_manifest_exits_1(trained_run, tmp_path, capsys):
+    # manifests written before training was recorded whole kept the mode at
+    # the top level and only the four loop counts in training
+    _, run = trained_run
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    doc = json.loads((copy / "manifest.json").read_text())
+    training = doc["training"]
+    doc["mode"] = training["mode"]
+    doc["training"] = {k: training[k]
+                       for k in ("iterations", "critic_iters", "local_iters", "batch_size")}
+    (copy / "manifest.json").write_text(json.dumps(doc))
+    assert main(["calibrate", "--run", str(copy)]) == 1
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "mode" in err and "train the run again" in err, err
+
+
+def test_records_read_back_as_written(trained_run):
+    _, run = trained_run
+    assert main(["calibrate", "--run", str(run)]) == 0
+    for cls, name in ((Manifest, "manifest.json"), (Thresholds, "thresholds.json")):
+        path = run / name
+        assert asdict(_read_record(cls, path, "")) == json.loads(path.read_text()), name
+
+
+def test_manifest_records_the_resolved_training(tmp_path):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(TINY_CONFIG.replace("batch_size: 4", "batch_size: 4\n  eta: 3.0"))
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run), "--mode", "centralized"]) == 0
+    manifest = _read_record(Manifest, run / "manifest.json", "")
+    assert manifest.training.mode == "centralized"
+    assert manifest.training.eta == 3.0
+    resolved = json.loads((run / "config.resolved.json").read_text())
+    assert config_hash(resolved) == manifest.config_hash
+
+
+def test_window_store_from_another_config_or_monitor_exits_1(trained_run, tmp_path, capsys):
+    cfg, run = trained_run
+    other_cfg = tmp_path / "other.yaml"
+    other_cfg.write_text(TINY_CONFIG.replace("noise: 0.05", "noise: 0.06"))
+    other = tmp_path / "other"
+    assert main(["train", "--config", str(other_cfg), "--out", str(other)]) == 0
+    assert main(["calibrate", "--run", str(run)]) == 0
+    for source in (other / "windows" / "node_0_1.ckpt", run / "windows" / "node_0_0.ckpt"):
+        copy = tmp_path / f"run_{source.parent.parent.name}"
+        shutil.copytree(run, copy)
+        shutil.copy(source, copy / "windows" / "node_0_1.ckpt")
+        capsys.readouterr()
+        for command in ("calibrate", "evaluate"):
+            assert main([command, "--run", str(copy)]) == 1
+            err = capsys.readouterr().err
+            assert "provenance error" in err and "windows/node_0_1.ckpt" in err, err
 
 
 def test_nonfinite_critic_exits_1(tmp_path, capsys, monkeypatch):
@@ -390,6 +472,22 @@ def test_compare_bad_list_flag_exits_2(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_compare_reports_an_undefined_metric_like_metrics_json(tmp_path, capsys):
+    # at this config and seed the wgan critic marks no test window abnormal,
+    # so precision and F1 have no value
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(TINY_CONFIG.replace("monitors_per_slice: 2", "monitors_per_slice: 1"))
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(cfg), "--out", str(out), "--variants", "wgan",
+                 "--seeds", "3"]) == 0
+    with open(out / "comparison.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    f1 = '{"undefined": "precision or recall undefined"}'
+    assert row["f1"] == f1
+    assert json.loads(row["precision"]) == {"undefined": "no predicted positives (TP + FP = 0)"}
+    assert f"f1={f1}" in capsys.readouterr().out
+
+
 def test_compare_scores_like_evaluate(tmp_path):
     # compare's row is the centralized train -> calibrate -> evaluate run's
     # metrics.json, monitor by monitor, not a pooled monitor's
@@ -406,4 +504,4 @@ def test_compare_scores_like_evaluate(tmp_path):
     with open(out / "comparison.csv") as fh:
         (row,) = csv.DictReader(fh)
     for name in ("precision", "recall", "f1", "accuracy"):
-        assert float(row[name]) == metrics[name], name
+        assert json.loads(row[name]) == metrics[name], name
